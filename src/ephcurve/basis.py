@@ -76,12 +76,10 @@ AUTO_STABLE_SWITCH = 2.0
 NAIVE_OMEGA_LIMIT = {1: 700.0, 2: 280.0}
 
 
-def resolve_mode(mode: EvalMode, m: int, omega: float,
-                 auto_threshold: float | None = None) -> EvalMode:
+def resolve_mode(mode: EvalMode, m: int, omega: float) -> EvalMode:
     """Collapse AUTO to a concrete mode and police the naive overflow limit."""
     if mode is EvalMode.AUTO:
-        thr = DEFAULT_AUTO_THRESHOLDS[m] if auto_threshold is None else auto_threshold
-        if omega < thr:
+        if omega < DEFAULT_AUTO_THRESHOLDS[m]:
             return EvalMode.TAYLOR5
         if omega < AUTO_STABLE_SWITCH:
             return EvalMode.NAIVE
@@ -145,8 +143,9 @@ _SERIES_OMEGA = 1.0   # below this, use the series for the cancelling numerators
 _LITERAL_OMEGA = 300.0  # above this, literal hyperbolics of the g's overflow soon
 
 
-def _odd_series(x: float, coef, lead_power: int) -> float:
-    """sum(coef[k] * x**(lead_power + 2k)) via Horner in x**2."""
+def _odd_series(x, coef, lead_power: int):
+    """sum(coef[k] * x**(lead_power + 2k)) via Horner in x**2; ``x`` is a
+    float or an array."""
     x2 = x * x
     acc = 0.0
     for c in reversed(coef):
@@ -345,27 +344,15 @@ def _g0_naive(a):
     """3a + sinh(a)(cosh(a) - 4); series below |a| = 1 (the closed form
     cancels to a**5/10 there and would cost eight digits at a ~ 0.05)."""
     a = np.asarray(a, dtype=float)
-    a2 = a * a
-    acc = np.zeros_like(a)
-    for c in reversed(_C_G0):
-        acc = acc * a2 + c
-    series = acc * a2 * a2 * a
     with np.errstate(over="ignore", invalid="ignore"):
         literal = 3.0 * a + np.sinh(a) * (np.cosh(a) - 4.0)
-    return np.where(np.abs(a) < _SERIES_OMEGA, series, literal)
+    return np.where(np.abs(a) < _SERIES_OMEGA, _odd_series(a, _C_G0, 5), literal)
 
 
 def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
     sh = np.sinh
-    g0w = float(_g0_naive(w))
-    if w < _SERIES_OMEGA:
-        g1w = 4.0 / _odd_series(w, _C_U, 5)
-        g2w = math.sinh(0.5 * w) / (3.0 * _odd_series(w, _C_VTHIRD, 5))
-    else:
-        g1w = 4.0 / (math.sinh(0.5 * w)
-                     * (math.cosh(w) - 3.0 * w / math.tanh(0.5 * w) + 5.0))
-        g2w = math.sinh(0.5 * w) / (3.0 * (3.0 * math.sinh(w)
-                                           - w * (math.cosh(w) + 2.0)))
+    c = _constants_m2(w)
+    g0w, g1w, g2w = c.g0, c.g1, c.g2
     sh4w = math.sinh(0.5 * w) ** 4
     u = 1.0 - t
     g0u = _g0_naive(w * u)
@@ -613,22 +600,35 @@ def taylor_curve_basis(m: int, omega: float, t) -> np.ndarray:
     return _taylor_m1(float(omega), t) if m == 1 else _taylor_m2(float(omega), t)
 
 
-def curve_basis(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO,
-                auto_threshold: float | None = None) -> np.ndarray:
+def _exact_ends(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Set the rows of ``b`` at t=0 and t=1 to the unit vectors, which the
+    closed forms reach only up to rounding (off by 6e-11 in the naive m=1
+    forms at omega=0.096)."""
+    if t.size == 1 and 0.0 < t.item() < 1.0:
+        return b                        # one interior point, the cheap test
+    unit = np.eye(b.shape[-1])
+    b[t == 0.0] = unit[0]
+    b[t == 1.0] = unit[-1]
+    return b
+
+
+def curve_basis(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Normalized B-basis of the curve space, stacked along the last axis.
 
-    Nonnegative, sums to 1, mirror-symmetric under t -> 1-t, and
-    interpolating at the endpoints.
+    Nonnegative, sums to 1, mirror-symmetric under t -> 1-t, and exactly
+    (1, 0, ..., 0) at t=0 and (0, ..., 0, 1) at t=1 in every mode.
     """
     _check_m(m)
     omega = _check_omega(omega)
     t = _check_t(t)
-    mode = resolve_mode(mode, m, omega, auto_threshold)
+    mode = resolve_mode(mode, m, omega)
     if mode is EvalMode.TAYLOR5:
-        return _taylor_m1(omega, t) if m == 1 else _taylor_m2(omega, t)
-    if mode is EvalMode.NAIVE:
-        return _curve_basis_naive_m1(omega, t) if m == 1 else _curve_basis_naive_m2(omega, t)
-    return _curve_basis_stable_m1(omega, t) if m == 1 else _curve_basis_stable_m2(omega, t)
+        b = _taylor_m1(omega, t) if m == 1 else _taylor_m2(omega, t)
+    elif mode is EvalMode.NAIVE:
+        b = _curve_basis_naive_m1(omega, t) if m == 1 else _curve_basis_naive_m2(omega, t)
+    else:
+        b = _curve_basis_stable_m1(omega, t) if m == 1 else _curve_basis_stable_m2(omega, t)
+    return _exact_ends(t, b)
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +736,7 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     return np.stack([tau0, tau1, tau2, tau3, tau4], axis=-1)
 
 
-def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO,
-                   auto_threshold: float | None = None) -> np.ndarray:
+def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Weights of the corner-cutting pass onto a degree-2m Bernstein polygon.
 
     Only defined strictly inside (0, 1): the defining ratios have
@@ -749,7 +748,7 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO,
     _check_m(m)
     omega = _check_omega(omega)
     t = _check_t(t, open_interval=True)
-    mode = resolve_mode(mode, m, omega, auto_threshold)
+    mode = resolve_mode(mode, m, omega)
     if mode is EvalMode.STABLE_LARGE_OMEGA:
         return _tau_stable_m1(omega, t) if m == 1 else _tau_stable_m2(omega, t)
     if mode is EvalMode.TAYLOR5:

@@ -75,10 +75,6 @@ class EphCurve:
         object.__setattr__(self, "control_points", pts)
         object.__setattr__(self, "omega", float(self.omega))
 
-    @property
-    def n_points(self) -> int:
-        return 2 * self.m + 2
-
     def to_dict(self) -> dict:
         return {"m": self.m, "omega": self.omega, "dim": self.dim,
                 "control_points": self.control_points.tolist()}

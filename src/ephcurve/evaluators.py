@@ -57,52 +57,25 @@ def _two_space_basis(omega: float, t: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - n1, n1], axis=-1)
 
 
-def _four_space_functions(omega: float, t: np.ndarray, order: int) -> np.ndarray:
-    """Values (order=0) or scaled derivatives of the spanning set of the
-    4-dimensional intermediate space span{1, e^{-wt}, e^{w(t-1)}, cosh(2wt)}.
+def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
+    """Normalized B-basis of span{1, e^{wt}, e^{-wt}, cosh(2wt)} on [0, 1],
+    from the m=2 hodograph basis values ``h``.
 
-    Derivatives are divided by omega**order to keep the collocation
-    matrices well scaled.  The last function is normalized by cosh(2w).
+    B_i combines H_i and H_{i+1}, whose endpoint zero orders give B_i
+    its own (B_3 = H_4 alone).  Equal e^{2wt} and e^{-2wt} coefficients
+    and partition of unity fix the weights, with
+    beta = cosh(w) / (2 cosh(w) + 1) written in non-positive exponents.
     """
-    w = omega
-    e_down = np.exp(-w * t)
-    e_up = np.exp(w * (t - 1.0))
-    den = 1.0 + math.exp(-4.0 * w)
-    c_even = np.exp(2.0 * w * (t - 1.0)) * (1.0 + np.exp(-4.0 * w * t)) / den
-    c_odd = np.exp(2.0 * w * (t - 1.0)) * (-np.expm1(-4.0 * w * t)) / den
-    ones = np.ones_like(t)
-    if order == 0:
-        return np.stack([ones, e_down, e_up, c_even], axis=-1)
-    sign = (-1.0) ** order
-    ch = c_even if order % 2 == 0 else c_odd
-    return np.stack([0.0 * ones, sign * e_down, e_up, 2.0 ** order * ch], axis=-1)
-
-
-def _four_space_basis(omega: float, t: np.ndarray) -> np.ndarray:
-    """Normalized B-basis of the 4-dimensional intermediate space.
-
-    Each basis function is pinned down (up to scale) by its endpoint
-    zero multiplicities; scales come from reproducing the constant 1.
-    """
-    ends = np.array([0.0, 1.0])
-    rows = {order: _four_space_functions(omega, ends, order) for order in (0, 1, 2)}
-    coeff = np.empty((4, 4))
-    mid = _four_space_functions(omega, np.array([0.5]), 0)[0]
-    for i in range(4):
-        cond = []
-        for order in range(i):            # zero of multiplicity i at t=0
-            cond.append(rows[order][0])
-        for order in range(3 - i):        # zero of multiplicity 3-i at t=1
-            cond.append(rows[order][1])
-        M = np.array(cond)
-        _, _, vh = np.linalg.svd(M)
-        v = vh[-1]
-        if float(v @ mid) < 0.0:
-            v = -v
-        coeff[:, i] = v
-    alpha = np.linalg.solve(coeff, np.array([1.0, 0.0, 0.0, 0.0]))
-    vals = _four_space_functions(omega, t, 0)
-    return vals @ (coeff * alpha[None, :])
+    c = basis.constants(2, omega)
+    e1 = math.exp(-omega)
+    e2 = e1 * e1
+    beta = (1.0 + e2) / (2.0 * (1.0 + e2) + 2.0 * e1)
+    return np.stack([
+        h[..., 0] + beta * h[..., 1],
+        (1.0 - beta) * h[..., 1] + c.q0 * h[..., 2],
+        c.q1 * h[..., 2] + h[..., 3],
+        h[..., 4],
+    ], axis=-1)
 
 
 def _corner_chain(m: int, omega: float, t: np.ndarray,
@@ -112,8 +85,9 @@ def _corner_chain(m: int, omega: float, t: np.ndarray,
     chain.append(_two_space_basis(omega, t))
     chain.append(basis.hodograph_basis(1, omega, t))
     if m == 2:
-        chain.append(_four_space_basis(omega, t))
-        chain.append(basis.hodograph_basis(2, omega, t))
+        h = basis.hodograph_basis(2, omega, t)
+        chain.append(_four_space_basis(omega, h))
+        chain.append(h)
     chain.append(basis.curve_basis(m, omega, t, mode))
     return chain
 
@@ -220,53 +194,21 @@ def _bernstein_wc(r1: np.ndarray, t: np.ndarray, m: int, upper: bool) -> np.ndar
     return q
 
 
-def _eval_new_interior(curve: EphCurve, ti: np.ndarray, mode: EvalMode,
-                       out: np.ndarray) -> None:
-    """Fill ``out`` with the two-branch evaluation of interior points."""
-    tau = basis.corner_weights(curve.m, curve.omega, ti, mode)[..., :, None]
-    cp = curve.control_points
-    r1 = cp[1:] + tau * (cp[:-1] - cp[1:])
-    hi = ti >= 0.5
-    if hi.all():
-        out[...] = _bernstein_wc(r1, ti, curve.m, upper=True)
-    elif not hi.any():
-        out[...] = _bernstein_wc(r1, ti, curve.m, upper=False)
-    else:
-        lo = ~hi
-        out[hi] = _bernstein_wc(r1[hi], ti[hi], curve.m, upper=True)
-        out[lo] = _bernstein_wc(r1[lo], ti[lo], curve.m, upper=False)
-
-
 def eval_new(curve: EphCurve, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Corner-cut onto a Bernstein polygon, then the polynomial recursion."""
-    tv = np.asarray(t, dtype=float)
-    if np.any(tv < 0.0) or np.any(tv > 1.0):
-        raise DomainError("t must lie in [0, 1]")
-    scalar = tv.ndim == 0
-    tv = np.atleast_1d(tv)
-    out = np.empty(tv.shape + (curve.dim,))
-    if tv.ndim == 1 and (tv.size < 2 or np.all(tv[1:] >= tv[:-1])):
-        # sorted grid (the common case): contiguous slices, no masks
-        a = int(np.searchsorted(tv, 0.0, side="right"))
-        b = int(np.searchsorted(tv, 1.0, side="left"))
-        c = int(np.searchsorted(tv, 0.5, side="left"))
-        out[:a] = curve.control_points[0]
-        out[b:] = curve.control_points[-1]
-        if a < c:
-            _eval_new_interior(curve, tv[a:c], mode, out[a:c])
-        if c < b:
-            _eval_new_interior(curve, tv[c:b], mode, out[c:b])
-    else:
-        at0 = tv == 0.0
-        at1 = tv == 1.0
-        interior = ~(at0 | at1)
-        out[at0] = curve.control_points[0]
-        out[at1] = curve.control_points[-1]
-        ti = tv[interior]
-        if ti.size:
-            res = np.empty(ti.shape + (curve.dim,))
-            _eval_new_interior(curve, ti, mode, res)
-            out[interior] = res
+    """Corner-cut onto a Bernstein polygon, then the polynomial recursion.
+
+    Points below and above t = 0.5 take the two branches of the
+    recursion (see ``_bernstein_wc``), each with its own corner weights.
+    """
+    tv, out, interior, scalar = _endpoint_split(curve, t)
+    cp = curve.control_points
+    hi = tv >= 0.5
+    for upper, sel in ((False, interior & ~hi), (True, interior & hi)):
+        if sel.any():
+            ti = tv[sel]
+            tau = basis.corner_weights(curve.m, curve.omega, ti, mode)[..., :, None]
+            r1 = cp[1:] + tau * (cp[:-1] - cp[1:])
+            out[sel] = _bernstein_wc(r1, ti, curve.m, upper)
     return out[0] if scalar else out
 
 

@@ -55,9 +55,6 @@ class Quaternion:
     def __abs__(self) -> float:
         return self.norm()
 
-    def is_zero(self) -> bool:
-        return self.w == 0.0 and self.x == 0.0 and self.y == 0.0 and self.z == 0.0
-
     def components(self) -> tuple:
         return (self.w, self.x, self.y, self.z)
 

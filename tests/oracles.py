@@ -7,7 +7,9 @@ references are deliberately independent of the package's evaluation
 paths: the package never imports this module.
 """
 
-from mpmath import mpf, sinh, cosh, coth, workdps
+from functools import lru_cache
+
+from mpmath import mpf, sinh, cosh, coth, exp, fsum, lu_solve, matrix, workdps
 
 
 def _dps(omega) -> int:
@@ -111,3 +113,43 @@ def constants_ref(m, omega):
             "g1": 4 / (sinh(w / 2) * (cosh(w) - 3 * w * coth(w / 2) + 5)),
             "g2": sinh(w / 2) / (3 * (3 * sinh(w) - w * (cosh(w) + 2))),
         }
+
+
+def _four_space_functions(w, x, k):
+    """k-th derivatives at x of 1, e^{-wt}, e^{w(t-1)}, cosh(2wt)."""
+    return [mpf(k == 0), (-w) ** k * exp(-w * x), w ** k * exp(w * (x - 1)),
+            (2 * w) ** k * (cosh if k % 2 == 0 else sinh)(2 * w * x)]
+
+
+@lru_cache(maxsize=None)
+def _four_space_coeffs(omega):
+    """Coefficients of the 4-space B-basis over the spanning functions.
+
+    B_i has a zero of order i at t=0 and of order 3-i at t=1, and the
+    four functions sum to 1: twelve zero conditions plus four
+    partition-of-unity conditions, solved as one linear system.  The
+    extra digits cover the near-singular conditions at small omega.
+    """
+    with workdps(_dps(omega) + 40):
+        w = mpf(omega)
+        rows, rhs = [], []
+        for i in range(4):
+            zeros = [(0, k) for k in range(i)] + [(1, k) for k in range(3 - i)]
+            for x, k in zeros:
+                row = [0] * 16
+                row[4 * i:4 * i + 4] = _four_space_functions(w, x, k)
+                rows.append(row)
+                rhs.append(0)
+        for j in range(4):
+            rows.append([int(col % 4 == j) for col in range(16)])
+            rhs.append(int(j == 0))
+        return lu_solve(matrix(rows), matrix(rhs))
+
+
+def four_space_ref(omega, t):
+    """Normalized B-basis of span{1, e^{wt}, e^{-wt}, cosh(2wt)}, the
+    4-dimensional link of the m=2 de Casteljau chain."""
+    c = _four_space_coeffs(float(omega))
+    with workdps(_dps(omega) + 40):
+        v = _four_space_functions(mpf(omega), mpf(t), 0)
+        return [fsum(c[4 * i + j] * v[j] for j in range(4)) for i in range(4)]

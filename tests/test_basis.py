@@ -104,18 +104,20 @@ def test_squaring_identities(rng):
 # ---------------------------------------------------------------------------
 
 def test_curve_basis_endpoints():
-    # each mode checked over the omega range where it is the right tool
+    # exact unit rows in every mode; AUTO covers the series band and the
+    # closed-form band (0.097 for m=1, 0.35 for m=2), where the closed
+    # forms alone miss them by up to 6e-11
     cases = [(EvalMode.NAIVE, (0.8, 45.0)),
              (EvalMode.STABLE_LARGE_OMEGA, (2.5, 90.0, 800.0)),
-             (EvalMode.AUTO, (0.5, 1.5, 30.0))]
+             (EvalMode.TAYLOR5, (0.05,)),
+             (EvalMode.AUTO, (0.097, 0.35, 0.5, 1.5, 30.0))]
     for m in (1, 2):
+        unit = np.eye(2 * m + 2)
         for mode, omegas in cases:
             for w in omegas:
                 b = basis.curve_basis(m, w, np.array([0.0, 1.0]), mode)
-                assert b[0, 0] == pytest.approx(1.0, abs=1e-13)
-                assert np.allclose(b[0, 1:], 0.0, atol=1e-13)
-                assert b[1, -1] == pytest.approx(1.0, abs=1e-13)
-                assert np.allclose(b[1, :-1], 0.0, atol=1e-13)
+                assert np.array_equal(b, unit[[0, -1]]), (m, mode, w)
+                assert np.array_equal(basis.curve_basis(m, w, 1.0, mode), unit[-1])
 
 
 def test_curve_basis_frozen_value():
@@ -183,8 +185,6 @@ def test_auto_mode_dispatch():
     assert basis.resolve_mode(EvalMode.AUTO, 1, 0.5) is EvalMode.NAIVE
     assert basis.resolve_mode(EvalMode.AUTO, 1, 10.0) is EvalMode.STABLE_LARGE_OMEGA
     assert basis.resolve_mode(EvalMode.AUTO, 2, 0.15) is EvalMode.TAYLOR5
-    assert basis.resolve_mode(EvalMode.AUTO, 2, 0.15, auto_threshold=0.1) \
-        is EvalMode.NAIVE
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import rel_inf
 from ephcurve import basis
 from ephcurve.basis import EvalMode
 from ephcurve.curve import EphCurve, eval_direct
 from ephcurve.errors import DomainError, SingularControlBlockError
-from ephcurve.evaluators import (EvalMethod, _bernstein_wc, dynamic_eval_m1,
-                                 eval_decasteljau, eval_new, eval_wozny_chudy,
-                                 evaluate)
+from ephcurve.evaluators import (EvalMethod, _bernstein_wc, _corner_chain,
+                                 dynamic_eval_m1, eval_decasteljau, eval_new,
+                                 eval_wozny_chudy, evaluate)
 
 ALGORITHMS = (eval_decasteljau, eval_wozny_chudy, eval_new)
 
@@ -22,10 +23,11 @@ def random_curve(rng, m, omega, dim=3):
 
 def test_endpoints_bitwise(rng):
     for m in (1, 2):
-        curve = random_curve(rng, m, 5.0)
-        for f in ALGORITHMS:
-            assert np.array_equal(f(curve, 0.0), curve.control_points[0])
-            assert np.array_equal(f(curve, 1.0), curve.control_points[-1])
+        for w in (0.097, 0.35, 5.0):
+            curve = random_curve(rng, m, w)
+            for f in ALGORITHMS + (eval_direct,):
+                assert np.array_equal(f(curve, 0.0), curve.control_points[0])
+                assert np.array_equal(f(curve, 1.0), curve.control_points[-1])
 
 
 def test_equal_control_points(rng):
@@ -98,6 +100,14 @@ def test_new_reduction_weight_identity(rng):
             recon = np.einsum("ti,tid->td", bern, r1)
             ref = eval_direct(curve, ts)
             assert rel_inf(recon, ref) < 1e-11
+
+
+@pytest.mark.parametrize("w", [1e-3, 0.1, 2.0, 20.0, 300.0])
+def test_decasteljau_four_space_against_oracle(w):
+    ts = np.linspace(0.0, 1.0, 21)
+    got = _corner_chain(2, w, ts, EvalMode.STABLE_LARGE_OMEGA)[3]
+    ref = np.array([[float(v) for v in oracles.four_space_ref(w, t)] for t in ts])
+    assert rel_inf(got, ref) < 1e-14
 
 
 def test_affine_invariance_of_algorithms(rng):
