@@ -751,8 +751,4 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     mode = resolve_mode(mode, m, omega)
     if mode is EvalMode.STABLE_LARGE_OMEGA:
         return _tau_stable_m1(omega, t) if m == 1 else _tau_stable_m2(omega, t)
-    if mode is EvalMode.TAYLOR5:
-        p = taylor_curve_basis(m, omega, t)
-    else:
-        p = curve_basis(m, omega, t, mode)
-    return _tau_from_curve_basis(m, t, p)
+    return _tau_from_curve_basis(m, t, curve_basis(m, omega, t, mode))

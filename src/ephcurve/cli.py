@@ -3,7 +3,10 @@
 Subcommands: ``eval`` (sample a curve), ``hermite`` (solve an
 interpolation problem), ``basis`` (dump basis values), ``bench`` (run
 the stability/timing studies).  Exit codes: 0 success, 2 malformed
-input, 3 domain error, 4 degenerate geometry.
+input or invalid value, 3 domain error or a result outside double
+range, 4 degenerate geometry.  The ``#`` header of the ``eval`` and
+``basis`` CSVs names the mode that produced the numbers, with ``auto``
+resolved to the concrete mode it chose.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bench
-from .basis import EvalMode, curve_basis
+from .basis import EvalMode, curve_basis, resolve_mode
 from .curve import EphCurve, eval_direct
 from .errors import DegenerateDirectionError, DomainError, ZeroVectorError
 from .evaluators import EvalMethod, evaluate
@@ -27,14 +30,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_DEGENERATE = 4
-
-_MODES = {
-    "auto": EvalMode.AUTO,
-    "naive": EvalMode.NAIVE,
-    "stable": EvalMode.STABLE_LARGE_OMEGA,
-    "taylor5": EvalMode.TAYLOR5,
-}
-
 
 class InputError(Exception):
     """Malformed document or flags; mapped to exit code 2."""
@@ -69,11 +64,12 @@ def _load_curve(path) -> EphCurve:
 def cmd_eval(args) -> int:
     curve = _load_curve(args.curve)
     method = EvalMethod(args.method)
-    mode = _MODES[args.mode]
+    mode = EvalMode(args.mode)
     ts = np.linspace(0.0, 1.0, args.grid)
     pts = evaluate(curve, ts, method, mode)
     cols = ["t"] + ["x", "y", "z"][:curve.dim]
-    header = ["ephcurve eval method=%s mode=%s grid=%d" % (args.method, args.mode, args.grid),
+    header = ["ephcurve eval method=%s mode=%s grid=%d"
+              % (args.method, resolve_mode(mode, curve.m, curve.omega).value, args.grid),
               "curve m=%d omega=%.17g dim=%d" % (curve.m, curve.omega, curve.dim)]
     with _open_out(args.out) as out:
         _write_csv(out, header, cols,
@@ -152,12 +148,13 @@ def cmd_hermite(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    mode = _MODES[args.mode]
+    mode = EvalMode(args.mode)
     ts = np.linspace(0.0, 1.0, args.grid)
     vals = curve_basis(args.m, args.omega, ts, mode)
     cols = ["t"] + ["phi%d" % i for i in range(vals.shape[-1])]
     header = ["ephcurve basis m=%d omega=%.17g mode=%s grid=%d"
-              % (args.m, args.omega, args.mode, args.grid)]
+              % (args.m, args.omega, resolve_mode(mode, args.m, args.omega).value,
+                 args.grid)]
     with _open_out(args.out) as out:
         _write_csv(out, header, cols,
                    ([t] + list(v) for t, v in zip(ts, vals)))
@@ -217,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True, help="curve JSON file")
     p.add_argument("--method", default="direct",
                    choices=[m.value for m in EvalMethod])
-    p.add_argument("--mode", default="auto", choices=sorted(_MODES))
+    p.add_argument("--mode", default="auto", choices=[m.value for m in EvalMode])
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="dump sampled basis values as CSV")
     p.add_argument("--m", type=int, required=True, choices=[1, 2])
     p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--mode", default="auto", choices=sorted(_MODES))
+    p.add_argument("--mode", default="auto", choices=[m.value for m in EvalMode])
     p.add_argument("--grid", type=int, default=101)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_basis)
@@ -275,6 +272,12 @@ def main(argv=None) -> int:
     except (ZeroVectorError, DegenerateDirectionError) as exc:
         print("degenerate data: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
+    except OverflowError as exc:
+        print("out of double range: %s" % exc, file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:
+        print("invalid value: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

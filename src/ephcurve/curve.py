@@ -165,8 +165,8 @@ def eval_direct(curve: EphCurve, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarra
     return b @ curve.control_points
 
 
-def _integral_weights(m: int, omega: float) -> np.ndarray:
-    c = basis.constants(m, omega)
+def _integral_weights(m: int, c) -> np.ndarray:
+    """Antiderivative weights of the hodograph basis, from the constants."""
     if m == 1:
         return np.array([c.c2, c.c3_over_c1, c.c2])
     return np.array([c.q2, c.q3, c.q4_over_q1, c.q3, c.q2])
@@ -175,10 +175,30 @@ def _integral_weights(m: int, omega: float) -> np.ndarray:
 def derivative(curve: EphCurve, t) -> np.ndarray:
     """Derivative of the curve: hodograph-basis combination of the
     forward differences scaled by the basis integrals."""
-    w = _integral_weights(curve.m, curve.omega)
+    w = _integral_weights(curve.m, basis.constants(curve.m, curve.omega))
     diffs = np.diff(curve.control_points, axis=0) / w[:, None]
     b = basis.hodograph_basis(curve.m, curve.omega, t)
     return b @ diffs
+
+
+def _hodograph_coeffs(m: int, c, a, product) -> list:
+    """Hodograph-basis coefficients of ``A A`` under the bilinear ``product``.
+
+    Products of preimage-basis functions are hodograph-basis
+    combinations; ``c1`` (m=1) and ``q0``, ``q1`` (m=2) are the linking
+    constants.  With ``product=dot`` this is the speed, with the
+    symmetric sandwich it is the hodograph itself.
+    """
+    p = product
+    if m == 1:
+        return [p(a[0], a[0]), c.c1 * p(a[0], a[1]), p(a[1], a[1])]
+    return [p(a[0], a[0]), p(a[0], a[1]),
+            c.q0 * p(a[1], a[1]) + c.q1 * p(a[0], a[2]),
+            p(a[1], a[2]), p(a[2], a[2])]
+
+
+def _sandwich(a: Quaternion, b: Quaternion) -> np.ndarray:
+    return np.array(sym_sandwich_i(a, b).components())
 
 
 def curve_from_preimage(preimage: Preimage, r0) -> EphCurve:
@@ -191,28 +211,12 @@ def curve_from_preimage(preimage: Preimage, r0) -> EphCurve:
     r0 = np.asarray(r0, dtype=float)
     if r0.shape != (3,):
         raise ValueError("r0 must be a 3-vector")
-    a = preimage.coeffs
-    c = basis.constants(preimage.m, preimage.omega)
-    if preimage.m == 1:
-        deltas = [
-            c.c2 * np.array(sym_sandwich_i(a[0], a[0]).components()),
-            c.c3 * np.array(sym_sandwich_i(a[0], a[1]).components()),
-            c.c2 * np.array(sym_sandwich_i(a[1], a[1]).components()),
-        ]
-    else:
-        deltas = [
-            c.q2 * np.array(sym_sandwich_i(a[0], a[0]).components()),
-            c.q3 * np.array(sym_sandwich_i(a[0], a[1]).components()),
-            (c.q4 * np.array(sym_sandwich_i(a[0], a[2]).components())
-             + c.q4_q0_over_q1 * np.array(sym_sandwich_i(a[1], a[1]).components())),
-            c.q3 * np.array(sym_sandwich_i(a[1], a[2]).components()),
-            c.q2 * np.array(sym_sandwich_i(a[2], a[2]).components()),
-        ]
-    pts = np.empty((2 * preimage.m + 2, 3))
-    pts[0] = r0
-    for i, d in enumerate(deltas):
-        pts[i + 1] = pts[i] + d
-    return EphCurve(m=preimage.m, omega=preimage.omega, dim=3, control_points=pts)
+    m = preimage.m
+    c = basis.constants(m, preimage.omega)
+    h = np.array(_hodograph_coeffs(m, c, preimage.coeffs, _sandwich))
+    deltas = _integral_weights(m, c)[:, None] * h
+    pts = np.cumsum(np.vstack([r0, deltas]), axis=0)
+    return EphCurve(m=m, omega=preimage.omega, dim=3, control_points=pts)
 
 
 def hodograph(preimage: Preimage, t) -> np.ndarray:
@@ -233,44 +237,17 @@ def parametric_speed_coeffs(preimage: Preimage) -> SpeedCoefficients:
     The quaternionic cross terms reduce to 4-component dot products, so
     all coefficients are plain reals.
     """
-    a = preimage.coeffs
     c = basis.constants(preimage.m, preimage.omega)
-    if preimage.m == 1:
-        sigma = np.array([
-            dot(a[0], a[0]),
-            c.c1 * dot(a[0], a[1]),
-            dot(a[1], a[1]),
-        ])
-    else:
-        sigma = np.array([
-            dot(a[0], a[0]),
-            dot(a[0], a[1]),
-            c.q0 * dot(a[1], a[1]) + c.q1 * dot(a[0], a[2]),
-            dot(a[1], a[2]),
-            dot(a[2], a[2]),
-        ])
-    return SpeedCoefficients(sigma)
+    sigma = _hodograph_coeffs(preimage.m, c, preimage.coeffs, dot)
+    return SpeedCoefficients(np.array(sigma))
 
 
 def arc_length_coeffs(preimage: Preimage) -> ArcLengthCoefficients:
     """Cumulative arc-length coefficients over the curve basis."""
-    a = preimage.coeffs
-    c = basis.constants(preimage.m, preimage.omega)
-    if preimage.m == 1:
-        increments = [
-            c.c2 * dot(a[0], a[0]),
-            c.c3 * dot(a[0], a[1]),   # sigma_1 * c3/c1 with the c1 cancelled
-            c.c2 * dot(a[1], a[1]),
-        ]
-    else:
-        increments = [
-            c.q2 * dot(a[0], a[0]),
-            c.q3 * dot(a[0], a[1]),
-            c.q4_q0_over_q1 * dot(a[1], a[1]) + c.q4 * dot(a[0], a[2]),
-            c.q3 * dot(a[1], a[2]),
-            c.q2 * dot(a[2], a[2]),
-        ]
-    s = np.concatenate([[0.0], np.cumsum(increments)])
+    m = preimage.m
+    c = basis.constants(m, preimage.omega)
+    sigma = np.array(_hodograph_coeffs(m, c, preimage.coeffs, dot))
+    s = np.concatenate([[0.0], np.cumsum(_integral_weights(m, c) * sigma)])
     return ArcLengthCoefficients(s)
 
 

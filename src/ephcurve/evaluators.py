@@ -26,7 +26,7 @@ import numpy as np
 from . import basis
 from .basis import EvalMode
 from .curve import EphCurve, eval_direct
-from .errors import DomainError, SingularControlBlockError
+from .errors import SingularControlBlockError
 
 __all__ = [
     "EvalMethod",
@@ -124,9 +124,7 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
 
 def _endpoint_split(curve: EphCurve, t):
     """Masks and output buffer shared by the corner-cutting evaluators."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise DomainError("t must lie in [0, 1]")
+    t = basis._check_t(t)
     scalar = t.ndim == 0
     tv = np.atleast_1d(t)
     out = np.empty(tv.shape + (curve.dim,))

@@ -63,7 +63,7 @@ class HermiteProblem:
         if not (float(self.omega) > 0.0):
             raise ValueError("omega must be positive")
         object.__setattr__(self, "omega", float(self.omega))
-        if np.linalg.norm(self.di) == 0.0 or np.linalg.norm(self.df) == 0.0:
+        if math.hypot(*self.di) == 0.0 or math.hypot(*self.df) == 0.0:
             raise ZeroVectorError("end derivatives must be nonzero")
 
     @property
@@ -143,9 +143,8 @@ def solve_spatial(problem: HermiteProblem, angles: AngleChoice) -> HermiteSoluti
     cross = np.array(sym_sandwich_i(a0, a2).components())
     cvec = (i3 * (r_end - r0) + (i1 * i1 - i0 * i3) * (di + df)
             + (i1 * i1 - i2 * i3) * 2.0 * cross)
-    scale = 1.0 + max(np.linalg.norm(r_end - r0), np.linalg.norm(di),
-                      np.linalg.norm(df))
-    if np.linalg.norm(cvec) < C_DEGENERACY_RTOL * scale:
+    scale = 1.0 + max(math.hypot(*(r_end - r0)), math.hypot(*di), math.hypot(*df))
+    if math.hypot(*cvec) < C_DEGENERACY_RTOL * scale:
         raise DegenerateDirectionError(
             "middle-coefficient direction vanishes for this data")
     ahat = solve_sandwich(Vector3(*cvec), angles.eta1)

@@ -50,7 +50,7 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def __abs__(self) -> float:
         return self.norm()
@@ -82,7 +82,7 @@ class Vector3:
         return Vector3(scalar * self.x, scalar * self.y, scalar * self.z)
 
     def norm(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
+        return math.hypot(self.x, self.y, self.z)
 
     def components(self) -> tuple:
         return (self.x, self.y, self.z)

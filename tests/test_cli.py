@@ -170,6 +170,47 @@ def test_bench_timing_csv(tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_eval_header_names_the_mode_auto_chose(tmp_path):
+    doc = {"m": 2, "omega": 5.0, "dim": 2,
+           "control_points": [[0, 0], [1, 2], [2, -1], [3, 0.5], [4, 1], [5, 0]]}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "samples.csv"
+    assert run_cli(["eval", "--curve", str(path), "--mode", "auto",
+                    "--grid", "5", "--out", str(out)]) == 0
+    first = out.read_text().splitlines()[0]
+    assert first.startswith("# ephcurve eval ") and "mode=stable" in first.split()
+
+
+def test_basis_header_names_the_mode_auto_chose(tmp_path):
+    out = tmp_path / "basis.csv"
+    assert run_cli(["basis", "--m", "1", "--omega", "0.05", "--grid", "3",
+                    "--out", str(out)]) == 0
+    assert "mode=taylor5" in out.read_text().splitlines()[0].split()
+
+
+def test_basis_naive_overflow_exit_3(capsys):
+    assert run_cli(["basis", "--m", "1", "--omega", "800", "--mode", "naive"]) == 3
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_basis_negative_omega_exit_2(capsys):
+    assert run_cli(["basis", "--m", "1", "--omega", "-1"]) == 2
+    assert "omega" in capsys.readouterr().err
+
+
+def test_hermite_cosh_preset_out_of_range_exit_3(tmp_path):
+    # cosh(2*omega) leaves double range above omega ~ 355.2
+    assert run_cli(["hermite", "--preset", "cosh", "--omega", "400",
+                    "--out", str(tmp_path / "curve.json")]) == 3
+
+
+def test_bench_rho_one_grid_point_exit_2(tmp_path):
+    assert run_cli(["bench", "--experiment", "rho", "--grid", "1",
+                    "--curves", "2", "--omega-points", "3",
+                    "--out", str(tmp_path / "rho.csv")]) == 2
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ephcurve.cli", "basis",
                            "--m", "1", "--omega", "1.0", "--grid", "3"],

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mpf, workdps
 from scipy.integrate import quad
 
 from conftest import rel_inf
+from oracles import constants_ref
 from ephcurve import basis
 from ephcurve.curve import (EphCurve, Preimage,
                             arc_length, arc_length_coeffs, curve_from_preimage,
@@ -226,6 +228,79 @@ def test_speed_matches_derivative_norm(rng):
             speed = parametric_speed(pre, ts)
             dnorm = np.linalg.norm(derivative(curve, ts), axis=-1)
             assert rel_inf(dnorm, speed) < 1e-10
+
+
+def _mp_mul(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
+def _mp_sandwich(a, b):
+    """Vector part of (a i b* + b i a*)/2 from exact Hamilton products."""
+    def conj(q):
+        return (q[0], -q[1], -q[2], -q[3])
+    i = (mpf(0), mpf(1), mpf(0), mpf(0))
+    ab = _mp_mul(_mp_mul(a, i), conj(b))
+    ba = _mp_mul(_mp_mul(b, i), conj(a))
+    return [(u + v) / 2 for u, v in zip(ab[1:], ba[1:])]
+
+
+def _mp_dot(a, b):
+    return [sum(u * v for u, v in zip(a, b))]
+
+
+def _ph_reference(m, omega, coeffs):
+    """Control-point differences, speed and arc-length coefficients of
+    the PH construction, from the mpmath constants and exact products.
+
+    Each coefficient is a list of (constant, i, j) terms over the
+    products of preimage coefficients i and j.
+    """
+    with workdps(60):
+        c = constants_ref(m, omega)
+        a = [[mpf(float(v)) for v in q] for q in coeffs]
+        if m == 1:
+            speed = [[(1, 0, 0)], [(c["c1"], 0, 1)], [(1, 1, 1)]]
+            integral = [[(c["c2"], 0, 0)], [(c["c3"], 0, 1)], [(c["c2"], 1, 1)]]
+        else:
+            q4_q0_over_q1 = c["q4"] * c["q0"] / c["q1"]
+            speed = [[(1, 0, 0)], [(1, 0, 1)], [(c["q0"], 1, 1), (c["q1"], 0, 2)],
+                     [(1, 1, 2)], [(1, 2, 2)]]
+            integral = [[(c["q2"], 0, 0)], [(c["q3"], 0, 1)],
+                        [(c["q4"], 0, 2), (q4_q0_over_q1, 1, 1)],
+                        [(c["q3"], 1, 2)], [(c["q2"], 2, 2)]]
+
+        def combine(table, product):
+            return [[sum(k * product(a[i], a[j])[n] for k, i, j in terms)
+                     for n in range(len(product(a[0], a[0])))]
+                    for terms in table]
+
+        deltas = combine(integral, _mp_sandwich)
+        sigma = [v for (v,) in combine(speed, _mp_dot)]
+        s = [mpf(0)]
+        for (v,) in combine(integral, _mp_dot):
+            s.append(s[-1] + v)
+        return (np.array(deltas, dtype=float), np.array(sigma, dtype=float),
+                np.array(s, dtype=float))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("w", [1e-4, 0.9999, 1.0001, 40.0, 800.0, 1500.0])
+def test_ph_construction_matches_oracle(rng, m, w):
+    # both sides of the series switch of the constants, and the range
+    # where c1 (m=1) or q1 (m=2) underflow; r0 = 0 keeps the differences
+    # of the control points free of cancellation against r0
+    for _ in range(3):
+        pre = random_preimage(rng, m, w)
+        deltas, sigma, s = _ph_reference(m, w, pre.coeff_array())
+        cp = curve_from_preimage(pre, np.zeros(3)).control_points
+        assert rel_inf(np.diff(cp, axis=0), deltas) < 1e-13
+        assert rel_inf(parametric_speed_coeffs(pre).sigma, sigma) < 1e-13
+        assert rel_inf(arc_length_coeffs(pre).s, s) < 1e-13
 
 
 def test_arc_length_zero_preimage():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,21 @@ def test_reproduce_hyperbolic(w):
     assert np.all(np.diff(x) > 0)          # monotone in x
     target = np.cosh(2 * w * x) / (2 * w)
     assert np.max(np.abs(y - target)) < 1e-6
+
+
+@pytest.mark.parametrize("w", [178.0, 354.0])
+def test_reproduce_hyperbolic_large_omega(w):
+    # the end data reaches cosh(2w) ~ 1e307; every norm on the way must
+    # stay finite although squares of the components leave double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        curve = reproduce_hyperbolic(w)
+    cp = curve.control_points
+    r0 = np.array([0.0, 1.0 / (2.0 * w)])
+    r_end = np.array([1.0, math.cosh(2.0 * w) / (2.0 * w)])
+    assert np.all(np.isfinite(cp))
+    assert np.array_equal(cp[0], r0)
+    assert np.max(np.abs(cp[-1] - r_end)) <= 1e-12 * math.hypot(*r_end)
 
 
 # ---------------------------------------------------------------------------

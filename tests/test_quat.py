@@ -119,6 +119,14 @@ def test_exp_i():
     assert q.y == q.z == 0.0
 
 
+def test_norms_do_not_overflow_or_underflow():
+    # squaring the components would overflow (1e310) or flush to zero
+    assert Vector3(1e155, 0.0, 0.0).norm() == 1e155
+    assert Vector3(3e-200, 4e-200, 0.0).norm() == 5e-200
+    assert Quaternion(0.0, 1e155, 0.0, 0.0).norm() == 1e155
+    assert Quaternion(3e-200, 0.0, 4e-200, 0.0).norm() == 5e-200
+
+
 def test_vector_quaternion_round_trip():
     v = Vector3(0.1, -2.5, 3.25)
     q = Quaternion.from_vector(v)
