@@ -11,7 +11,6 @@ harness for their stability and speed.
 from .basis import (
     BasisConstantsM1,
     BasisConstantsM2,
-    DEFAULT_AUTO_THRESHOLDS,
     EvalMode,
     constants,
     corner_weights,

@@ -18,9 +18,8 @@ The curve basis and the corner weights exist in three arithmetic modes:
 the textbook hyperbolic closed forms (``NAIVE``), rewrites using only
 non-positive exponents that never overflow and stay accurate for large
 ``omega`` (``STABLE_LARGE_OMEGA``), and fifth-order series in ``omega``
-around 0 (``TAYLOR5``).  ``AUTO`` picks the series below the per-m
-breakpoint, the closed forms in the middle band and the rewrites from
-``AUTO_STABLE_SWITCH`` upward.
+around 0 (``TAYLOR5``).  ``AUTO`` picks, per order and quantity, the
+mode with the smallest oracle error from one measured table of bands.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .errors import DomainError, OverflowHazardError
 
 __all__ = [
     "EvalMode",
-    "DEFAULT_AUTO_THRESHOLDS",
-    "AUTO_STABLE_SWITCH",
     "NAIVE_OMEGA_LIMIT",
     "BasisConstantsM1",
     "BasisConstantsM2",
@@ -59,29 +56,36 @@ class EvalMode(enum.Enum):
     AUTO = "auto"
 
 
-# Measured accuracy breakpoints of the stable forms: below these the
-# series mode is the more accurate choice.
-DEFAULT_AUTO_THRESHOLDS = {1: 0.096, 2: 0.184}
-
-# AUTO hands the middle band to the plain closed forms: for m=2 the
-# large-omega rewrites bottom out near 3e-9 absolute around omega=0.5
-# (tiny true numerators against order-30 terms), while the closed forms
-# are still at the 1e-12 level there.  Above this switch the closed
-# forms start losing absolute accuracy (like exp(2*omega)*eps for m=2)
-# and the rewrites are at their rounding floor.
-AUTO_STABLE_SWITCH = 2.0
+# AUTO's bands per (m, quantity): (series_below, closed_forms_below).
+# The series serve omega below the first switch, the closed forms the
+# band up to the second, the stable rewrites the rest.  Against the
+# mpmath oracle, AUTO's error stays within 4x of the most accurate
+# mode's (or below 1e-13) from omega = 1e-4 to 650; for "tau" the error
+# counts as |dtau_j| times the degree-2m Bernstein weight b_j(t) that it
+# meets in eval_new.  The m=1 stable weights beat the closed forms at
+# every omega from 0.1 up, and the m=2 series band is only a range guard
+# (the closed forms divide by zero near omega = 1e-70).
+_AUTO_BANDS = {
+    (1, "basis"): (0.16, 2.0),
+    (1, "tau"): (0.1, 0.1),
+    (2, "basis"): (1e-3, 2.0),
+    (2, "tau"): (1e-3, 2.0),
+}
 
 # Largest omega whose naive hyperbolic forms stay inside double range.
 # The m=2 forms contain products reaching exp(5*omega/2).
 NAIVE_OMEGA_LIMIT = {1: 700.0, 2: 280.0}
 
 
-def resolve_mode(mode: EvalMode, m: int, omega: float) -> EvalMode:
-    """Collapse AUTO to a concrete mode and police the naive overflow limit."""
+def resolve_mode(mode: EvalMode, m: int, omega: float,
+                 quantity: str = "basis") -> EvalMode:
+    """Collapse AUTO to a concrete mode for ``quantity`` ("basis" or
+    "tau") and police the naive overflow limit."""
     if mode is EvalMode.AUTO:
-        if omega < DEFAULT_AUTO_THRESHOLDS[m]:
+        series_below, closed_forms_below = _AUTO_BANDS[(m, quantity)]
+        if omega < series_below:
             return EvalMode.TAYLOR5
-        if omega < AUTO_STABLE_SWITCH:
+        if omega < closed_forms_below:
             return EvalMode.NAIVE
         return EvalMode.STABLE_LARGE_OMEGA
     if mode is EvalMode.NAIVE and omega > NAIVE_OMEGA_LIMIT[m]:
@@ -104,13 +108,13 @@ def _check_omega(omega: float) -> float:
 
 
 def _check_t(t, open_interval: bool = False) -> np.ndarray:
+    # one all-inside reduction, which NaN fails
     t = np.asarray(t, dtype=float)
     if open_interval:
-        if np.any(t <= 0.0) or np.any(t >= 1.0):
+        if not np.all((t > 0.0) & (t < 1.0)):
             raise DomainError("t must lie strictly inside (0, 1)")
-    else:
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise DomainError("t must lie in [0, 1]")
+    elif not np.all((t >= 0.0) & (t <= 1.0)):
+        raise DomainError("t must lie in [0, 1]")
     return t
 
 
@@ -130,17 +134,13 @@ _C_Q4NUM = [1.0 / math.factorial(2 * k) - 3.0 / math.factorial(2 * k + 1)
             for k in range(2, _KMAX)]                                            # from w^5
 _C_VTHIRD = [3.0 / math.factorial(2 * k + 1) - 1.0 / math.factorial(2 * k)
              for k in range(2, _KMAX)]                                           # (3 sinh w - w cosh w - 2w), from w^5
-# sinh(w/2)*(cosh w + 5) - 3 w cosh(w/2), from w^5 (denominator of the
-# second normalization constant of the m=2 curve basis)
-_C_U = [1.0 / 40, 11.0 / 6720, 17.0 / 322560, 461.0 / 425779200,
-        8303.0 / 531372441600, 24911.0 / 148784283648000,
-        168151.0 / 121407975456768000, 1513361.0 / 166086110424858624000,
-        7913.0 / 162105833268707328000,
-        98065811.0 / 451796738399884221087744000,
-        2206480753.0 / 2710780430399305326526464000000]
+# sinh(w/2)*(cosh w + 5) - 3 w cosh(w/2)
+#   = sinh(3w/2)/2 + (9/2) sinh(w/2) - 3 w cosh(w/2), from w^5 (denominator
+# of the second normalization constant of the m=2 curve basis)
+_C_U = [(3.0 ** (2 * k + 1) + 9.0) / (4.0 ** (k + 1) * math.factorial(2 * k + 1))
+        - 3.0 / (4.0 ** k * math.factorial(2 * k)) for k in range(2, _KMAX)]
 
 _SERIES_OMEGA = 1.0   # below this, use the series for the cancelling numerators
-_LITERAL_OMEGA = 300.0  # above this, literal hyperbolics of the g's overflow soon
 
 
 def _odd_series(x, coef, lead_power: int):
@@ -243,20 +243,13 @@ def _constants_m2(w: float) -> BasisConstantsM2:
                       * den_q) / (2.0 * w * den4)
         q4_q0_over_q1 = (((2.0 * w - 6.0) + 8.0 * w * ew + (2.0 * w + 6.0) * ew2)
                          * (1.0 + 2.0 * ew + ew2)) / (2.0 * w * den4)
-        if w < _LITERAL_OMEGA:
-            g0 = 3.0 * w + math.sinh(w) * (math.cosh(w) - 4.0)
-            g1 = 4.0 / (math.sinh(0.5 * w)
-                        * (math.cosh(w) - 3.0 * w / math.tanh(0.5 * w) + 5.0))
-            g2 = math.sinh(0.5 * w) / (3.0 * (3.0 * math.sinh(w)
-                                              - w * (math.cosh(w) + 2.0)))
-        else:
-            with np.errstate(over="ignore"):
-                g0 = float(np.exp(2.0 * w) / 4.0
-                           * (1.0 - 8.0 * ew + 12.0 * w * ew2 + 8.0 * ew3 - ew4))
-            g1 = 16.0 * math.exp(-1.5 * w) / (1.0 + (9.0 - 6.0 * w) * ew
-                                              - (9.0 + 6.0 * w) * ew2 - ew3)
-            g2 = ((1.0 - ew) * math.exp(-0.5 * w)
-                  / (3.0 * ((3.0 - w) - 4.0 * w * ew - (3.0 + w) * ew2)))
+        with np.errstate(over="ignore"):
+            g0 = float(np.exp(2.0 * w) / 4.0
+                       * (1.0 - 8.0 * ew + 12.0 * w * ew2 + 8.0 * ew3 - ew4))
+        g1 = 16.0 * ew * math.exp(-0.5 * w) / (1.0 + (9.0 - 6.0 * w) * ew
+                                               - (9.0 + 6.0 * w) * ew2 - ew3)
+        g2 = ((1.0 - ew) * math.exp(-0.5 * w)
+              / (3.0 * ((3.0 - w) - 4.0 * w * ew - (3.0 + w) * ew2)))
     return BasisConstantsM2(w, q0, q1, q2, q3, q4, g0, g1, g2,
                             q0_over_q1, q4_over_q1, q4_q0_over_q1)
 
@@ -748,7 +741,7 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     _check_m(m)
     omega = _check_omega(omega)
     t = _check_t(t, open_interval=True)
-    mode = resolve_mode(mode, m, omega)
+    mode = resolve_mode(mode, m, omega, "tau")
     if mode is EvalMode.STABLE_LARGE_OMEGA:
         return _tau_stable_m1(omega, t) if m == 1 else _tau_stable_m2(omega, t)
     return _tau_from_curve_basis(m, t, curve_basis(m, omega, t, mode))

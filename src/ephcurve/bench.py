@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import basis
 from .basis import EvalMode, taylor_curve_basis
 from .curve import EphCurve
 from .evaluators import EvalMethod, evaluate
@@ -52,13 +53,14 @@ class RhoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d not in (2, 3) or self.m not in (1, 2):
-            raise ValueError("d must be in {2,3} and m in {1,2}")
+        if self.d not in (2, 3):
+            raise ValueError("d must be 2 or 3")
+        basis._check_m(self.m)
         if self.n_curves < 1 or self.grid_points < 2:
             raise ValueError("need at least one curve and two grid points")
         grid = np.asarray(self.omega_grid, dtype=float)
-        if np.any(grid <= 0.0):
-            raise ValueError("all omega values must be positive")
+        for w in grid.flat:
+            basis._check_omega(w)
         grid.setflags(write=False)
         object.__setattr__(self, "omega_grid", grid)
 

@@ -68,8 +68,10 @@ def cmd_eval(args) -> int:
     ts = np.linspace(0.0, 1.0, args.grid)
     pts = evaluate(curve, ts, method, mode)
     cols = ["t"] + ["x", "y", "z"][:curve.dim]
+    quantity = "tau" if method is EvalMethod.NEW else "basis"
+    resolved = resolve_mode(mode, curve.m, curve.omega, quantity)
     header = ["ephcurve eval method=%s mode=%s grid=%d"
-              % (args.method, resolve_mode(mode, curve.m, curve.omega).value, args.grid),
+              % (args.method, resolved.value, args.grid),
               "curve m=%d omega=%.17g dim=%d" % (curve.m, curve.omega, curve.dim)]
     with _open_out(args.out) as out:
         _write_csv(out, header, cols,

@@ -65,15 +65,13 @@ class EphCurve:
     control_points: np.ndarray
 
     def __post_init__(self):
-        if self.m not in (1, 2):
-            raise ValueError("m must be 1 or 2")
+        basis._check_m(self.m)
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
-        if not (float(self.omega) > 0.0):
-            raise ValueError("omega must be positive")
+        omega = basis._check_omega(self.omega)
         pts = _frozen_points(self.control_points, 2 * self.m + 2, self.dim)
         object.__setattr__(self, "control_points", pts)
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", omega)
 
     def to_dict(self) -> dict:
         return {"m": self.m, "omega": self.omega, "dim": self.dim,
@@ -114,16 +112,14 @@ class Preimage:
     coeffs: tuple
 
     def __post_init__(self):
-        if self.m not in (1, 2):
-            raise ValueError("m must be 1 or 2")
-        if not (float(self.omega) > 0.0):
-            raise ValueError("omega must be positive")
+        basis._check_m(self.m)
+        omega = basis._check_omega(self.omega)
         cs = tuple(_as_quaternion(c) for c in self.coeffs)
         if len(cs) != self.m + 1:
             raise ValueError("preimage of order m=%d needs %d quaternion "
                              "coefficients, got %d" % (self.m, self.m + 1, len(cs)))
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", omega)
 
     def coeff_array(self) -> np.ndarray:
         return np.array([c.components() for c in self.coeffs], dtype=float)

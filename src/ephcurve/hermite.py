@@ -60,9 +60,7 @@ class HermiteProblem:
         dims = {a.shape[0] for a in (self.r0, self.r_end, self.di, self.df)}
         if len(dims) != 1:
             raise ValueError("all problem vectors must share one dimension")
-        if not (float(self.omega) > 0.0):
-            raise ValueError("omega must be positive")
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", basis._check_omega(self.omega))
         if math.hypot(*self.di) == 0.0 or math.hypot(*self.df) == 0.0:
             raise ZeroVectorError("end derivatives must be nonzero")
 
@@ -178,9 +176,7 @@ def reproduce_hyperbolic(omega: float) -> EphCurve:
     on [0, 1], the interpolant reproduces that graph exactly (up to the
     parametrization along it).
     """
-    if not (float(omega) > 0.0):
-        raise ValueError("omega must be positive")
-    w = float(omega)
+    w = basis._check_omega(omega)
     problem = HermiteProblem(
         r0=(0.0, 1.0 / (2.0 * w)),
         r_end=(1.0, math.cosh(2.0 * w) / (2.0 * w)),

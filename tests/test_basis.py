@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,12 +107,12 @@ def test_squaring_identities(rng):
 
 def test_curve_basis_endpoints():
     # exact unit rows in every mode; AUTO covers the series band and the
-    # closed-form band (0.097 for m=1, 0.35 for m=2), where the closed
-    # forms alone miss them by up to 6e-11
+    # closed-form band (0.2 for m=1, 0.097 and 0.35 for m=2), where the
+    # closed forms alone miss them by up to 6e-11
     cases = [(EvalMode.NAIVE, (0.8, 45.0)),
              (EvalMode.STABLE_LARGE_OMEGA, (2.5, 90.0, 800.0)),
              (EvalMode.TAYLOR5, (0.05,)),
-             (EvalMode.AUTO, (0.097, 0.35, 0.5, 1.5, 30.0))]
+             (EvalMode.AUTO, (0.097, 0.2, 0.35, 0.5, 1.5, 30.0))]
     for m in (1, 2):
         unit = np.eye(2 * m + 2)
         for mode, omegas in cases:
@@ -178,13 +180,74 @@ def test_curve_basis_domain_error():
         basis.curve_basis(1, 1.0, -0.01)
     with pytest.raises(DomainError):
         basis.curve_basis(2, 1.0, np.array([0.5, 1.2]))
+    with pytest.raises(DomainError):
+        basis.curve_basis(1, 1.0, np.nan)
+    with pytest.raises(DomainError):
+        basis.curve_basis(2, 1.0, np.array([0.5, np.nan]))
 
 
 def test_auto_mode_dispatch():
-    assert basis.resolve_mode(EvalMode.AUTO, 1, 0.05) is EvalMode.TAYLOR5
-    assert basis.resolve_mode(EvalMode.AUTO, 1, 0.5) is EvalMode.NAIVE
-    assert basis.resolve_mode(EvalMode.AUTO, 1, 10.0) is EvalMode.STABLE_LARGE_OMEGA
-    assert basis.resolve_mode(EvalMode.AUTO, 2, 0.15) is EvalMode.TAYLOR5
+    series, naive, stable = (EvalMode.TAYLOR5, EvalMode.NAIVE,
+                             EvalMode.STABLE_LARGE_OMEGA)
+    cases = [(1, "basis", 0.05, series), (1, "basis", 0.15, series),
+             (1, "basis", 0.16, naive), (1, "basis", 0.5, naive),
+             (1, "basis", 10.0, stable),
+             (1, "tau", 0.05, series), (1, "tau", 0.1, stable),
+             (1, "tau", 0.5, stable),
+             (2, "basis", 5e-4, series), (2, "basis", 0.15, naive),
+             (2, "basis", 1.9, naive), (2, "basis", 2.0, stable),
+             (2, "tau", 5e-4, series), (2, "tau", 0.15, naive),
+             (2, "tau", 2.0, stable)]
+    for m, quantity, w, want in cases:
+        assert basis.resolve_mode(EvalMode.AUTO, m, w, quantity) is want, \
+            (m, quantity, w)
+    assert basis.resolve_mode(EvalMode.AUTO, 2, 0.15) is naive   # basis by default
+    assert basis.resolve_mode(naive, 1, 0.05, "tau") is naive
+
+
+# Accuracy rule of AUTO's band table, against the mpmath oracle: at every
+# omega AUTO's error is within 4x of the best mode's (or below 1e-13).
+# Basis error is the max abs error; tau error is |dtau_j| * b_j(t), with
+# b_j the degree-2m Bernstein weight each tau_j meets in eval_new (raw
+# tau errors near the ends meet vanishing weights).  The omegas span
+# 1e-4 to 650 and straddle every switch of the table.
+_TABLE_TS = np.linspace(0.02, 0.98, 25)
+_TABLE_OMEGAS = (1e-4, 9e-4, 1e-3, 1.1e-3, 0.01, 0.05, 0.09, 0.1, 0.11, 0.12,
+                 0.15, 0.16, 0.17, 0.2, 0.3, 0.5, 1.0, 1.5, 1.9, 2.0, 2.1,
+                 3.0, 4.0, 10.0, 50.0, 300.0, 650.0)
+
+
+def _mode_error(m, quantity, w, mode, ref):
+    f = basis.curve_basis if quantity == "basis" else basis.corner_weights
+    try:
+        with np.errstate(all="ignore"):
+            err = np.abs(f(m, w, _TABLE_TS, mode) - ref)
+    except OverflowHazardError:
+        return math.inf
+    if quantity == "tau":
+        n = 2 * m
+        err = err * np.stack([math.comb(n, j) * _TABLE_TS ** j
+                              * (1.0 - _TABLE_TS) ** (n - j)
+                              for j in range(n + 1)], axis=-1)
+    worst = float(np.max(err))
+    return worst if math.isfinite(worst) else math.inf
+
+
+@pytest.mark.parametrize("quantity", ["basis", "tau"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_auto_table_picks_the_most_accurate_mode(m, quantity):
+    oracle = oracles.phi_ref if quantity == "basis" else oracles.tau_ref
+    bad = []
+    for w in _TABLE_OMEGAS:
+        ref = np.array([[float(v) for v in oracle(m, w, t)] for t in _TABLE_TS])
+        errs = {mode: _mode_error(m, quantity, w, mode, ref)
+                for mode in (EvalMode.TAYLOR5, EvalMode.NAIVE,
+                             EvalMode.STABLE_LARGE_OMEGA, EvalMode.AUTO)}
+        auto = errs.pop(EvalMode.AUTO)
+        if auto > max(4.0 * min(errs.values()), 1e-13):
+            bad.append("omega=%g auto=%.1e %s" % (
+                w, auto, " ".join("%s=%.1e" % (k.value, v) for k, v in errs.items())))
+    assert not bad, bad
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +316,9 @@ def test_corner_weights_stable_against_oracle(m, w):
     got = basis.corner_weights(m, w, ts, EvalMode.STABLE_LARGE_OMEGA)
     ref = np.array([[float(v) for v in oracles.tau_ref(m, w, t)] for t in ts])
     # near-edge t with small omega amplifies the rewrites' rounding by
-    # 1/(t*(1-t)**3); AUTO never picks them there
+    # 1/(t*(1-t)**3); in eval_new each weight meets a Bernstein factor
+    # that vanishes there, so the weighted error is what AUTO's table
+    # compares (see test_auto_table_picks_the_most_accurate_mode)
     tol = 1e-6 if w < 4.0 else 1e-11
     assert rel_inf(got, ref) < tol
 
@@ -269,6 +334,10 @@ def test_corner_weights_open_interval_only():
         basis.corner_weights(1, 1.0, 0.0)
     with pytest.raises(DomainError):
         basis.corner_weights(2, 1.0, np.array([0.5, 1.0]))
+    with pytest.raises(DomainError):
+        basis.corner_weights(1, 1.0, np.nan)
+    with pytest.raises(DomainError):
+        basis.corner_weights(2, 1.0, np.array([0.5, np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ def test_config_validation():
         RhoConfig(n_curves=0)
     with pytest.raises(ValueError):
         RhoConfig(omega_grid=np.array([0.0, 1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            RhoConfig(omega_grid=np.array([0.5, bad]))
 
 
 def test_rho_deterministic_given_seed():

@@ -182,6 +182,20 @@ def test_eval_header_names_the_mode_auto_chose(tmp_path):
     assert first.startswith("# ephcurve eval ") and "mode=stable" in first.split()
 
 
+def test_eval_header_names_the_mode_of_each_quantity(tmp_path):
+    # at m=1, omega=0.5 AUTO takes the stable corner weights for "new" and
+    # the closed-form basis for the other methods
+    doc = {"m": 1, "omega": 0.5, "dim": 2,
+           "control_points": [[0, 0], [1, 2], [2, -1], [3, 0.5]]}
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    for method, mode in (("new", "stable"), ("direct", "naive")):
+        out = tmp_path / ("%s.csv" % method)
+        assert run_cli(["eval", "--curve", str(path), "--method", method,
+                        "--grid", "5", "--out", str(out)]) == 0
+        assert "mode=%s" % mode in out.read_text().splitlines()[0].split()
+
+
 def test_basis_header_names_the_mode_auto_chose(tmp_path):
     out = tmp_path / "basis.csv"
     assert run_cli(["basis", "--m", "1", "--omega", "0.05", "--grid", "3",

@@ -50,6 +50,14 @@ def test_curve_validation():
         c.control_points[0, 0] = 1.0   # frozen
 
 
+@pytest.mark.parametrize("w", [math.inf, math.nan])
+def test_records_reject_non_finite_omega(w):
+    with pytest.raises(ValueError):
+        EphCurve(m=1, omega=w, dim=3, control_points=np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        Preimage(m=1, omega=w, coeffs=(I, I))
+
+
 def test_json_round_trip(rng):
     curve = random_curve(rng, 2, math.pi)
     again = EphCurve.from_json(curve.to_json())

@@ -47,6 +47,15 @@ def test_domain_errors(rng):
             f(curve, -0.1)
 
 
+def test_nan_t_rejected(rng):
+    for m in (1, 2):
+        curve = random_curve(rng, m, 1.0)
+        for method in EvalMethod:
+            for t in (np.nan, np.array([0.0, 0.5, np.nan])):
+                with pytest.raises(DomainError):
+                    evaluate(curve, t, method)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m", [1, 2])
 def test_cross_method_equivalence(rng, d, m):

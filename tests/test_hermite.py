@@ -201,6 +201,15 @@ def test_reproduce_hyperbolic_large_omega(w):
 # error reporting
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("w", [math.inf, math.nan])
+def test_non_finite_omega_rejected(w):
+    with pytest.raises(ValueError):
+        HermiteProblem(r0=(0.0, 0.0), r_end=(1.0, 1.0), di=(1.0, 0.0),
+                       df=(0.0, 1.0), omega=w)
+    with pytest.raises(ValueError):
+        reproduce_hyperbolic(w)
+
+
 def test_zero_derivative_rejected():
     with pytest.raises(ZeroVectorError):
         HermiteProblem(r0=(0, 0), r_end=(1, 1), di=(0.0, 0.0), df=(1, 0),
