@@ -22,6 +22,7 @@ from .basis import (
 from .bench import BreakpointResult, RhoConfig, TimingRow, find_omega_bar, rho, time_methods
 from .curve import (
     ArcLengthCoefficients,
+    CurveBatch,
     EphCurve,
     Preimage,
     SpeedCoefficients,

@@ -587,10 +587,12 @@ def taylor_curve_basis(m: int, omega: float, t) -> np.ndarray:
     even though the curve spaces themselves require omega > 0.
     """
     _check_m(m)
-    if not (float(omega) >= 0.0):
-        raise ValueError("omega must be >= 0 for the series basis")
+    omega = float(omega)
+    if not (omega >= 0.0 and math.isfinite(omega)):
+        raise ValueError("omega must be a finite real >= 0 for the series basis, "
+                         "got %r" % (omega,))
     t = _check_t(t)
-    return _taylor_m1(float(omega), t) if m == 1 else _taylor_m2(float(omega), t)
+    return _taylor_m1(omega, t) if m == 1 else _taylor_m2(omega, t)
 
 
 def _exact_ends(t: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,7 +6,11 @@ largest relative deviation (infinity norm over a parameter grid) across
 a batch of random control polygons is recorded.  Exact evaluation makes
 the metric shrink with omega (series truncation only); where an
 evaluator's arithmetic breaks down the metric turns back up, and the
-location of the minimum is that evaluator's accuracy breakpoint.
+location of the minimum is that evaluator's accuracy breakpoint.  All
+polygons of the sweep share each omega, so they are evaluated together
+as a ``CurveBatch``: the basis and weights are built once per omega and
+block of polygons, and each curve's values are bitwise those of
+evaluating it alone.
 
 The timing harness measures wall-clock medians of repeated whole-grid
 evaluations, recomputing every auxiliary function per curve just as a
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import basis
 from .basis import EvalMode, taylor_curve_basis
-from .curve import EphCurve
+from .curve import CurveBatch, EphCurve
 from .evaluators import EvalMethod, evaluate
 
 __all__ = [
@@ -103,26 +107,41 @@ def _rho_mode(method: EvalMethod) -> EvalMode:
     return EvalMode.STABLE_LARGE_OMEGA
 
 
+# Curve-points per batched evaluation in ``rho``: bounds its working
+# memory whatever the number of curves, and holds the 100 x 501 of the
+# acceptance sweep in one block.
+_RHO_BLOCK_POINTS = 2 ** 16
+
+
 def rho(config: RhoConfig, method: EvalMethod) -> np.ndarray:
-    """Stability metric over the omega grid; returns (omega, rho) rows."""
+    """Stability metric over the omega grid; returns (omega, rho) rows.
+
+    At each omega the polygons go through the evaluator as ``CurveBatch``
+    blocks of at most ``_RHO_BLOCK_POINTS`` curve-points (at least one
+    curve per block).
+    """
     ts = np.linspace(0.0, 1.0, config.grid_points)
     polygons = config.draw_polygons()
+    per_block = max(1, _RHO_BLOCK_POINTS // config.grid_points)
+    blocks = [polygons[i:i + per_block] for i in range(0, len(polygons), per_block)]
     mode = _rho_mode(method)
     out = np.empty((len(config.omega_grid), 2))
     for i, w in enumerate(config.omega_grid):
         tmat = taylor_curve_basis(config.m, w, ts)
         worst = 0.0
-        for cp in polygons:
-            ref = tmat @ cp
-            curve = EphCurve(m=config.m, omega=float(w), dim=config.d,
-                             control_points=cp)
+        for cp in blocks:
+            batch = CurveBatch(m=config.m, omega=float(w), dim=config.d,
+                               control_points=cp)
             with np.errstate(all="ignore"):
-                val = evaluate(curve, ts, method, mode)
-            num = float(np.max(np.abs(val - ref)))
-            den = float(np.max(np.abs(ref)))
+                val = evaluate(batch, ts, method, mode)
+            ref = tmat @ cp
+            val -= ref
+            num = np.max(np.abs(val, out=val), axis=(1, 2))
+            den = np.max(np.abs(ref), axis=(1, 2))
             # an evaluator that produces non-finite output has failed
             # outright at this omega
-            worst = max(worst, num / den if np.isfinite(num) else np.inf)
+            ratio = np.where(np.isfinite(num), num / den, np.inf)
+            worst = max(worst, float(np.max(ratio)))
         out[i] = (w, worst)
     return out
 

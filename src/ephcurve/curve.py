@@ -21,6 +21,7 @@ from .quat import Quaternion, dot, sym_sandwich_i
 
 __all__ = [
     "EphCurve",
+    "CurveBatch",
     "Preimage",
     "SpeedCoefficients",
     "ArcLengthCoefficients",
@@ -39,20 +40,30 @@ REGULARITY_GRID = 2001
 REGULARITY_RTOL = 1e-12
 
 
-def _frozen_points(points, n_expected: int, dim_expected: int | None = None) -> np.ndarray:
-    pts = np.array(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != n_expected:
-        raise ValueError("expected %d control points, got array of shape %s"
-                         % (n_expected, pts.shape))
-    if pts.shape[1] not in (2, 3):
-        raise ValueError("control points must be 2- or 3-dimensional")
-    if dim_expected is not None and pts.shape[1] != dim_expected:
+def _validate(record, stacked: bool) -> None:
+    """Checks shared by ``EphCurve`` and ``CurveBatch``; freezes the points.
+
+    A stacked record holds N >= 1 polygons, shape (N, 2m+2, dim).
+    """
+    basis._check_m(record.m)
+    if record.dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    omega = basis._check_omega(record.omega)
+    n = 2 * record.m + 2
+    pts = np.array(record.control_points, dtype=float)
+    if pts.ndim != 2 + stacked or pts.shape[-2] != n:
+        raise ValueError("expected %s%d control points, got array of shape %s"
+                         % ("a stack of " if stacked else "", n, pts.shape))
+    if stacked and len(pts) == 0:
+        raise ValueError("a curve batch needs at least one polygon")
+    if pts.shape[-1] != record.dim:
         raise ValueError("control points are %dD but dim=%d declared"
-                         % (pts.shape[1], dim_expected))
+                         % (pts.shape[-1], record.dim))
     if not np.all(np.isfinite(pts)):
         raise ValueError("control points must be finite")
     pts.setflags(write=False)
-    return pts
+    object.__setattr__(record, "control_points", pts)
+    object.__setattr__(record, "omega", omega)
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,7 @@ class EphCurve:
     control_points: np.ndarray
 
     def __post_init__(self):
-        basis._check_m(self.m)
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        omega = basis._check_omega(self.omega)
-        pts = _frozen_points(self.control_points, 2 * self.m + 2, self.dim)
-        object.__setattr__(self, "control_points", pts)
-        object.__setattr__(self, "omega", omega)
+        _validate(self, stacked=False)
 
     def to_dict(self) -> dict:
         return {"m": self.m, "omega": self.omega, "dim": self.dim,
@@ -88,6 +93,26 @@ class EphCurve:
     @classmethod
     def from_json(cls, text: str) -> "EphCurve":
         return cls.from_dict(json.loads(text))
+
+
+@dataclass(frozen=True)
+class CurveBatch:
+    """N curves sharing one order m and shape omega, for batched evaluation.
+
+    ``control_points`` has shape (N, 2m+2, dim) with N >= 1, checked as
+    ``EphCurve`` checks one polygon.  The evaluators compute the basis
+    and weights, which depend only on (m, omega, t), once per call and
+    return shape (N,) + t.shape + (dim,); row i is bitwise the result
+    for the curve with polygon ``control_points[i]``.
+    """
+
+    m: int
+    omega: float
+    dim: int
+    control_points: np.ndarray
+
+    def __post_init__(self):
+        _validate(self, stacked=True)
 
 
 def _as_quaternion(c) -> Quaternion:
@@ -155,10 +180,14 @@ class ArcLengthCoefficients:
     s: np.ndarray
 
 
-def eval_direct(curve: EphCurve, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
+def eval_direct(curve: EphCurve | CurveBatch, t,
+                mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Evaluate the curve by direct summation against the curve basis."""
     b = basis.curve_basis(curve.m, curve.omega, t, mode)
-    return b @ curve.control_points
+    cp = curve.control_points
+    # one (2m+2, dim) matrix per curve, broadcast over the leading axes of t
+    lift = (1,) * max(b.ndim - 2, 0)
+    return b @ cp.reshape(cp.shape[:-2] + lift + cp.shape[-2:])
 
 
 def _integral_weights(m: int, c) -> np.ndarray:

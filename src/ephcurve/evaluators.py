@@ -25,7 +25,7 @@ import numpy as np
 
 from . import basis
 from .basis import EvalMode
-from .curve import EphCurve, eval_direct
+from .curve import CurveBatch, EphCurve, eval_direct
 from .errors import SingularControlBlockError
 
 __all__ = [
@@ -122,59 +122,84 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
     return weights
 
 
-def _endpoint_split(curve: EphCurve, t):
-    """Masks and output buffer shared by the corner-cutting evaluators."""
+def _endpoint_split(curve: EphCurve | CurveBatch, t):
+    """Masks and output buffer shared by the corner-cutting evaluators.
+
+    ``out`` has shape lead + t.shape + (dim,), with lead = (N,) for a
+    batch and () for one curve; the end rows are the end control points.
+    """
     t = basis._check_t(t)
     scalar = t.ndim == 0
     tv = np.atleast_1d(t)
-    out = np.empty(tv.shape + (curve.dim,))
+    cp = curve.control_points
+    out = np.empty(cp.shape[:-2] + tv.shape + (curve.dim,))
     at0 = tv == 0.0
     at1 = tv == 1.0
     interior = ~(at0 | at1)
-    out[at0] = curve.control_points[0]
-    out[at1] = curve.control_points[-1]
+    out[..., at0, :] = cp[..., :1, :]
+    out[..., at1, :] = cp[..., -1:, :]
     return tv, out, interior, scalar
 
 
-def eval_decasteljau(curve: EphCurve, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Corner-cutting evaluation: 2m+1 levels of convex combinations."""
+def eval_decasteljau(curve: EphCurve | CurveBatch, t,
+                     mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
+    """Corner-cutting evaluation: 2m+1 levels of convex combinations.
+
+    The first level is cut straight from the polygon and later levels
+    overwrite their inputs point by point, so no level holds more than
+    2m+1 points per parameter and curve.  Points are kept coordinate by
+    coordinate, lead + (dim, t), so every product runs along t.
+    """
     tv, out, interior, scalar = _endpoint_split(curve, t)
     ti = tv[interior]
     if ti.size:
         lam = _decasteljau_weights(curve.m, curve.omega, ti, mode)
-        pts = np.broadcast_to(curve.control_points,
-                              ti.shape + curve.control_points.shape).copy()
+        cp = curve.control_points.swapaxes(-1, -2)[..., None]
         n = 2 * curve.m + 1
-        for k in range(1, n + 1):
-            p = n - k
-            lv = lam[p][..., :, None]
-            pts = (1.0 - lv) * pts[..., :p + 1, :] + lv * pts[..., 1:p + 2, :]
-        out[interior] = pts[..., 0, :]
-    return out[0] if scalar else out
+        pts = []
+        for j in range(n):
+            lv = lam[n - 1][:, j]
+            c = (1.0 - lv) * cp[..., j, :]
+            c += lv * cp[..., j + 1, :]
+            pts.append(c)
+        for p in range(n - 2, -1, -1):
+            for j in range(p + 1):
+                lv = lam[p][:, j]
+                pts[j] *= 1.0 - lv
+                pts[j] += lv * pts[j + 1]
+        out[..., interior, :] = pts[0].swapaxes(-1, -2)
+    return out[..., 0, :] if scalar else out
 
 
-def eval_wozny_chudy(curve: EphCurve, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Linear-time evaluation via partial-sum ratios of the curve basis."""
+def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
+                     mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
+    """Linear-time evaluation via partial-sum ratios of the curve basis.
+
+    The running point is kept coordinate by coordinate, lead + (dim, t),
+    so every product runs along t.
+    """
     tv, out, interior, scalar = _endpoint_split(curve, t)
     ti = tv[interior]
     if ti.size:
+        cp = curve.control_points.swapaxes(-1, -2)[..., None]
         b = basis.curve_basis(curve.m, curve.omega, ti, mode)
         s = np.cumsum(b, axis=-1)
-        q = np.broadcast_to(curve.control_points[0], ti.shape + (curve.dim,)).copy()
+        q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + ti.shape).copy()
         for k in range(1, 2 * curve.m + 2):
             with np.errstate(divide="ignore", invalid="ignore"):
                 h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
-            h = h[..., None]
-            q = (1.0 - h) * q + h * curve.control_points[k]
-        out[interior] = q
-    return out[0] if scalar else out
+            q *= 1.0 - h
+            q += h * cp[..., k, :]
+        out[..., interior, :] = q.swapaxes(-1, -2)
+    return out[..., 0, :] if scalar else out
 
 
 def _bernstein_wc(r1: np.ndarray, t: np.ndarray, m: int, upper: bool) -> np.ndarray:
     """Linear-time polynomial recursion on the reduced Bernstein polygon.
 
-    ``upper`` selects the branch for t in [0.5, 1); the other branch
-    walks the polygon backwards with the reciprocal ratio.
+    ``r1`` has shape lead + t.shape + (2m+1, dim).  ``upper`` selects
+    the branch for t in [0.5, 1); the other branch walks the polygon
+    backwards with the reciprocal ratio.
     """
     n = 2 * m
     if upper:
@@ -192,22 +217,24 @@ def _bernstein_wc(r1: np.ndarray, t: np.ndarray, m: int, upper: bool) -> np.ndar
     return q
 
 
-def eval_new(curve: EphCurve, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
+def eval_new(curve: EphCurve | CurveBatch, t,
+             mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Corner-cut onto a Bernstein polygon, then the polynomial recursion.
 
     Points below and above t = 0.5 take the two branches of the
     recursion (see ``_bernstein_wc``), each with its own corner weights.
     """
     tv, out, interior, scalar = _endpoint_split(curve, t)
-    cp = curve.control_points
+    cp = curve.control_points[..., None, :, :]      # broadcast over t
     hi = tv >= 0.5
     for upper, sel in ((False, interior & ~hi), (True, interior & hi)):
         if sel.any():
             ti = tv[sel]
             tau = basis.corner_weights(curve.m, curve.omega, ti, mode)[..., :, None]
-            r1 = cp[1:] + tau * (cp[:-1] - cp[1:])
-            out[sel] = _bernstein_wc(r1, ti, curve.m, upper)
-    return out[0] if scalar else out
+            r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
+            r1 += cp[..., 1:, :]
+            out[..., sel, :] = _bernstein_wc(r1, ti, curve.m, upper)
+    return out[..., 0, :] if scalar else out
 
 
 _EVALUATORS = {
@@ -218,9 +245,14 @@ _EVALUATORS = {
 }
 
 
-def evaluate(curve: EphCurve, t, method: EvalMethod = EvalMethod.DIRECT,
+def evaluate(curve: EphCurve | CurveBatch, t,
+             method: EvalMethod = EvalMethod.DIRECT,
              mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Dispatch to one of the four evaluators."""
+    """Dispatch to one of the four evaluators.
+
+    A ``CurveBatch`` of N curves gives shape (N,) + t.shape + (dim,),
+    one ``EphCurve`` t.shape + (dim,).
+    """
     return _EVALUATORS[method](curve, t, mode)
 
 

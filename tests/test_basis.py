@@ -262,6 +262,11 @@ def test_taylor_is_bernstein_at_zero():
     assert rel_inf(got, bern) < 1e-15
     mid = basis.taylor_curve_basis(2, 0.0, 0.5)
     assert np.allclose(mid, np.array([1, 5, 10, 10, 5, 1]) / 32.0, rtol=1e-15)
+    # omega = 0 is the series' own limit, but a non-finite omega is no shape
+    for m in (1, 2):
+        for w in (math.inf, -math.inf, math.nan, -0.1):
+            with pytest.raises(ValueError):
+                basis.taylor_curve_basis(m, w, 0.5)
 
 
 def test_taylor_close_to_naive_small_omega():

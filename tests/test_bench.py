@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from ephcurve import bench
+from ephcurve.basis import EvalMode, taylor_curve_basis
 from ephcurve.bench import (BreakpointResult, RhoConfig, default_omega_grid,
                             find_omega_bar, rho, time_methods)
-from ephcurve.evaluators import EvalMethod
+from ephcurve.curve import EphCurve
+from ephcurve.evaluators import EvalMethod, evaluate
 
 FAST = RhoConfig(d=3, m=1, n_curves=8, grid_points=101,
                  omega_grid=np.linspace(0.01, 0.6, 40), seed=11)
@@ -68,6 +71,40 @@ def test_rho_methods_agree_where_truncation_dominates():
                                           EvalMethod.DECASTELJAU)]
     base = values[0]
     assert all(abs(v - base) / base < 0.1 for v in values)
+
+
+def _rho_one_curve_at_a_time(config, method):
+    """The stability metric as a loop over single curves."""
+    ts = np.linspace(0.0, 1.0, config.grid_points)
+    mode = EvalMode.NAIVE if method is EvalMethod.DIRECT else EvalMode.STABLE_LARGE_OMEGA
+    out = []
+    for w in config.omega_grid:
+        tmat = taylor_curve_basis(config.m, w, ts)
+        worst = 0.0
+        for cp in config.draw_polygons():
+            ref = tmat @ cp
+            curve = EphCurve(m=config.m, omega=w, dim=config.d, control_points=cp)
+            with np.errstate(all="ignore"):
+                val = evaluate(curve, ts, method, mode)
+            num = float(np.max(np.abs(val - ref)))
+            worst = max(worst, num / float(np.max(np.abs(ref)))
+                        if np.isfinite(num) else np.inf)
+        out.append((w, worst))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("block_curves", [None, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_rho_matches_one_curve_at_a_time(monkeypatch, m, block_curves):
+    # small omegas, where the stable forms and the naive baseline break
+    # down, included; with block_curves=2, 5 curves take blocks 2, 2, 1
+    config = RhoConfig(d=2 + m % 2, m=m, n_curves=5, grid_points=41,
+                       omega_grid=np.array([1e-3, 0.02, 0.1, 0.4, 1.9]), seed=3)
+    if block_curves:
+        monkeypatch.setattr(bench, "_RHO_BLOCK_POINTS", block_curves * 41 + 40)
+    for method in EvalMethod:
+        assert np.array_equal(rho(config, method),
+                              _rho_one_curve_at_a_time(config, method)), method
 
 
 def test_find_omega_bar_returns_grid_point():

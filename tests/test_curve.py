@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from conftest import rel_inf
 from oracles import constants_ref
 from ephcurve import basis
-from ephcurve.curve import (EphCurve, Preimage,
+from ephcurve.curve import (CurveBatch, EphCurve, Preimage,
                             arc_length, arc_length_coeffs, curve_from_preimage,
                             derivative, eval_direct, hodograph, is_regular,
                             parametric_speed, parametric_speed_coeffs)
@@ -48,6 +48,30 @@ def test_curve_validation():
     c = EphCurve(m=1, omega=1.0, dim=2, control_points=np.zeros((4, 2)))
     with pytest.raises(ValueError):
         c.control_points[0, 0] = 1.0   # frozen
+
+
+def test_batch_validation():
+    good = np.zeros((5, 4, 3))
+    batch = CurveBatch(m=1, omega=1.0, dim=3, control_points=good)
+    assert batch.control_points.shape == (5, 4, 3)
+    with pytest.raises(ValueError):
+        batch.control_points[0, 0, 0] = 1.0   # frozen
+    bad_points = np.zeros((5, 4, 3))
+    bad_points[3, 2, 1] = np.inf
+    for m, dim, pts in ((1, 3, bad_points),                  # non-finite point
+                        (1, 3, np.zeros((5, 6, 3))),         # 2m+2 = 4 expected
+                        (2, 3, np.zeros((5, 4, 3))),         # 6 expected
+                        (1, 2, good),                        # dim mismatch
+                        (1, 3, np.zeros((4, 3))),            # one unstacked polygon
+                        (1, 3, np.zeros((0, 4, 3))),         # no curves
+                        (1, 4, np.zeros((5, 4, 4)))):
+        with pytest.raises(ValueError):
+            CurveBatch(m=m, omega=1.0, dim=dim, control_points=pts)
+    for w in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CurveBatch(m=1, omega=w, dim=3, control_points=good)
+    with pytest.raises(ValueError):
+        CurveBatch(m=3, omega=1.0, dim=3, control_points=np.zeros((5, 8, 3)))
 
 
 @pytest.mark.parametrize("w", [math.inf, math.nan])

@@ -7,7 +7,7 @@ import oracles
 from conftest import rel_inf
 from ephcurve import basis
 from ephcurve.basis import EvalMode
-from ephcurve.curve import EphCurve, eval_direct
+from ephcurve.curve import CurveBatch, EphCurve, eval_direct
 from ephcurve.errors import DomainError, SingularControlBlockError
 from ephcurve.evaluators import (EvalMethod, _bernstein_wc, _corner_chain,
                                  dynamic_eval_m1, eval_decasteljau, eval_new,
@@ -130,6 +130,31 @@ def test_affine_invariance_of_algorithms(rng):
         for f in ALGORITHMS:
             assert np.max(np.abs(f(mapped, ts)
                                  - (f(curve, ts) @ A.T + b))) < 1e-11
+
+
+# one omega in every AUTO band of both quantities, all inside the naive limit
+BAND_OMEGAS = (5e-4, 0.05, 0.13, 0.5, 5.0)
+BATCH_TS = (0.37, np.array([0.8, 0.0, 0.5, 0.21, 1.0, 0.5 - 1e-9]),
+            np.array([[0.9, 0.0, 0.3], [1.0, 0.5, 0.6]]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_batch_matches_per_curve_bitwise(rng, d, m):
+    for n_curves in (1, 5):
+        pts = rng.uniform(-1, 1, (n_curves, 2 * m + 2, d))
+        for w in BAND_OMEGAS:
+            batch = CurveBatch(m=m, omega=w, dim=d, control_points=pts)
+            curves = [EphCurve(m=m, omega=w, dim=d, control_points=cp) for cp in pts]
+            for t in BATCH_TS:
+                for method in EvalMethod:
+                    for mode in EvalMode:
+                        with np.errstate(all="ignore"):
+                            got = evaluate(batch, t, method, mode)
+                            ref = [evaluate(c, t, method, mode) for c in curves]
+                        assert got.shape == (n_curves,) + np.shape(t) + (d,)
+                        for g, r in zip(got, ref):
+                            assert np.array_equal(g, r, equal_nan=True), (w, t, method, mode)
 
 
 def test_evaluate_dispatch(rng):
