@@ -270,13 +270,28 @@ def constants(m: int, omega: float):
 # B-basis of the preimage space and normalized B-basis of the hodograph space
 # ---------------------------------------------------------------------------
 
+def _exact_ends(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Set the rows of ``b`` at t=0 and t=1 to the unit vectors, which the
+    closed forms reach only up to rounding (off by 6e-11 in the naive m=1
+    curve basis at omega=0.096, by 2.2e-16 in the preimage basis at
+    omega=0.111625).  Every basis an evaluator reads goes through here,
+    so the evaluators need no end-point case of their own."""
+    if t.size == 1 and 0.0 < t.item() < 1.0:
+        return b                        # one interior point, the cheap test
+    unit = np.eye(b.shape[-1])
+    b[t == 0.0] = unit[0]
+    b[t == 1.0] = unit[-1]
+    return b
+
+
 def preimage_basis(m: int, omega: float, t) -> np.ndarray:
     """B-basis of the space holding the preimage coefficient functions.
 
     For m=1 these are the two sinh ratios; for m=2 the three functions
     coincide with the m=1 hodograph basis.  Values are stacked along the
-    last axis; the forms used only ever exponentiate non-positive
-    arguments, so any omega is safe.
+    last axis and are exactly (1, 0, ...) at t=0 and (..., 0, 1) at t=1;
+    the forms used only ever exponentiate non-positive arguments, so any
+    omega is safe.
     """
     _check_m(m)
     omega = _check_omega(omega)
@@ -287,7 +302,7 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
     den = -math.expm1(-w)
     p0 = np.exp(-0.5 * w * t) * (-np.expm1(-w * (1.0 - t))) / den
     p1 = np.exp(-0.5 * w * (1.0 - t)) * (-np.expm1(-w * t)) / den
-    return np.stack([p0, p1], axis=-1)
+    return _exact_ends(t, np.stack([p0, p1], axis=-1))
 
 
 def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
@@ -295,7 +310,8 @@ def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
 
     The m=1 end functions are squares of the preimage basis; the middle
     one is their partition-of-unity complement.  The m=2 functions are
-    the standard quadratic-form products of the m=1 triple.
+    the standard quadratic-form products of the m=1 triple.  Both are
+    exact unit rows at t=0 and t=1, as the preimage basis is.
     """
     _check_m(m)
     omega = _check_omega(omega)
@@ -595,18 +611,6 @@ def taylor_curve_basis(m: int, omega: float, t) -> np.ndarray:
     return _taylor_m1(omega, t) if m == 1 else _taylor_m2(omega, t)
 
 
-def _exact_ends(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Set the rows of ``b`` at t=0 and t=1 to the unit vectors, which the
-    closed forms reach only up to rounding (off by 6e-11 in the naive m=1
-    forms at omega=0.096)."""
-    if t.size == 1 and 0.0 < t.item() < 1.0:
-        return b                        # one interior point, the cheap test
-    unit = np.eye(b.shape[-1])
-    b[t == 0.0] = unit[0]
-    b[t == 1.0] = unit[-1]
-    return b
-
-
 def curve_basis(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Normalized B-basis of the curve space, stacked along the last axis.
 
@@ -735,10 +739,11 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     """Weights of the corner-cutting pass onto a degree-2m Bernstein polygon.
 
     Only defined strictly inside (0, 1): the defining ratios have
-    removable discontinuities at the endpoints, which evaluation
-    algorithms must short-circuit.  Values of t extremely close to the
-    endpoints (around 1e-80) fall outside the reliable range of the
-    stable forms; no series fallback is applied there.
+    removable discontinuities at the endpoints, where ``eval_new`` takes
+    the end control points instead.  Near t = 0 the ratios divide by
+    t^(2m), which underflows: in every mode the weights are NaN from
+    about t = 1e-161 (m=1) and t = 1e-80 (m=2) down.  No series fallback
+    is applied there.
     """
     _check_m(m)
     omega = _check_omega(omega)

@@ -167,8 +167,11 @@ def time_methods(d: int, m: int, omega_list, n_curves: int = 1000,
     measurement.  All methods run their large-omega-stable arithmetic
     across the whole sweep (one shared policy, mirroring the stability
     study); the exponentials underflowing at very large omega are what
-    makes those cells cheaper.  Absolute numbers are machine-bound;
-    only the ordering between methods is meaningful.
+    makes those cells cheaper.  For m=2 at small omega those forms are
+    inaccurate: against the mpmath oracle the basis is off by 1.5e-2 at
+    omega = 0.097, 1.2e-5 at 0.2 and 4.4e-8 at 0.35, so there the
+    timings measure cost, not correct output.  Absolute numbers are
+    machine-bound; only the ordering between methods is meaningful.
     """
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, grid_points)

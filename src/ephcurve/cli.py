@@ -31,6 +31,11 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_DEGENERATE = 4
 
+# the SVG polyline of `hermite --plot`: curve samples and canvas size
+_PLOT_SAMPLES = 501
+_SVG_SIZE = (640, 480)
+
+
 class InputError(Exception):
     """Malformed document or flags; mapped to exit code 2."""
 
@@ -89,7 +94,8 @@ def _angles_from_doc(doc) -> AngleChoice:
     raise InputError("spatial problem document needs an 'angles' object")
 
 
-def _write_svg(path, pts, width, height):
+def _write_svg(path, pts):
+    width, height = _SVG_SIZE
     pts = np.asarray(pts, dtype=float)[:, :2]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -144,8 +150,7 @@ def cmd_hermite(args) -> int:
         json.dump(out_doc, out)
         out.write("\n")
     if args.plot:
-        ts = np.linspace(0.0, 1.0, args.plot_samples)
-        _write_svg(args.plot, eval_direct(curve, ts), args.svg_width, args.svg_height)
+        _write_svg(args.plot, eval_direct(curve, np.linspace(0.0, 1.0, _PLOT_SAMPLES)))
     return EXIT_OK
 
 
@@ -227,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None,
                    help="shape parameter for --preset")
     p.add_argument("--plot", default=None, help="write an SVG polyline here")
-    p.add_argument("--plot-samples", type=int, default=501)
-    p.add_argument("--svg-width", type=int, default=640)
-    p.add_argument("--svg-height", type=int, default=480)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_hermite)
 

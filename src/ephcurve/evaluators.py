@@ -54,7 +54,7 @@ class EvalMethod(enum.Enum):
 def _two_space_basis(omega: float, t: np.ndarray) -> np.ndarray:
     """Normalized B-basis of span{1, sinh(omega t)} on [0, 1]."""
     n1 = np.exp(omega * (t - 1.0)) * np.expm1(-2.0 * omega * t) / math.expm1(-2.0 * omega)
-    return np.stack([1.0 - n1, n1], axis=-1)
+    return basis._exact_ends(t, np.stack([1.0 - n1, n1], axis=-1))
 
 
 def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
@@ -122,23 +122,19 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
     return weights
 
 
-def _endpoint_split(curve: EphCurve | CurveBatch, t):
-    """Masks and output buffer shared by the corner-cutting evaluators.
+def _point_columns(curve: EphCurve | CurveBatch, t):
+    """t's shape, t flattened and the control points as lead + (dim, 2m+2, 1).
 
-    ``out`` has shape lead + t.shape + (dim,), with lead = (N,) for a
-    batch and () for one curve; the end rows are the end control points.
-    """
+    The corner-cutting evaluators keep points as lead + (dim, t), with
+    lead = (N,) for a batch and () for one curve, so every product runs
+    along t."""
     t = basis._check_t(t)
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t)
-    cp = curve.control_points
-    out = np.empty(cp.shape[:-2] + tv.shape + (curve.dim,))
-    at0 = tv == 0.0
-    at1 = tv == 1.0
-    interior = ~(at0 | at1)
-    out[..., at0, :] = cp[..., :1, :]
-    out[..., at1, :] = cp[..., -1:, :]
-    return tv, out, interior, scalar
+    return t.shape, t.reshape(-1), curve.control_points.swapaxes(-1, -2)[..., None]
+
+
+def _point_rows(q: np.ndarray, shape: tuple) -> np.ndarray:
+    """Points lead + (dim, t) as lead + shape + (dim,)."""
+    return q.swapaxes(-1, -2).reshape(q.shape[:-2] + shape + q.shape[-2:-1])
 
 
 def eval_decasteljau(curve: EphCurve | CurveBatch, t,
@@ -147,73 +143,53 @@ def eval_decasteljau(curve: EphCurve | CurveBatch, t,
 
     The first level is cut straight from the polygon and later levels
     overwrite their inputs point by point, so no level holds more than
-    2m+1 points per parameter and curve.  Points are kept coordinate by
-    coordinate, lead + (dim, t), so every product runs along t.
+    2m+1 points per parameter and curve.
     """
-    tv, out, interior, scalar = _endpoint_split(curve, t)
-    ti = tv[interior]
-    if ti.size:
-        lam = _decasteljau_weights(curve.m, curve.omega, ti, mode)
-        cp = curve.control_points.swapaxes(-1, -2)[..., None]
-        n = 2 * curve.m + 1
-        pts = []
-        for j in range(n):
-            lv = lam[n - 1][:, j]
-            c = (1.0 - lv) * cp[..., j, :]
-            c += lv * cp[..., j + 1, :]
-            pts.append(c)
-        for p in range(n - 2, -1, -1):
-            for j in range(p + 1):
-                lv = lam[p][:, j]
-                pts[j] *= 1.0 - lv
-                pts[j] += lv * pts[j + 1]
-        out[..., interior, :] = pts[0].swapaxes(-1, -2)
-    return out[..., 0, :] if scalar else out
+    shape, tv, cp = _point_columns(curve, t)
+    lam = _decasteljau_weights(curve.m, curve.omega, tv, mode)
+    n = 2 * curve.m + 1
+    pts = []
+    for j in range(n):
+        lv = lam[n - 1][:, j]
+        c = (1.0 - lv) * cp[..., j, :]
+        c += lv * cp[..., j + 1, :]
+        pts.append(c)
+    for p in range(n - 2, -1, -1):
+        for j in range(p + 1):
+            lv = lam[p][:, j]
+            pts[j] *= 1.0 - lv
+            pts[j] += lv * pts[j + 1]
+    return _point_rows(pts[0], shape)
 
 
 def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
                      mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Linear-time evaluation via partial-sum ratios of the curve basis.
+    """Linear-time evaluation via partial-sum ratios of the curve basis."""
+    shape, tv, cp = _point_columns(curve, t)
+    b = basis.curve_basis(curve.m, curve.omega, tv, mode)
+    s = np.cumsum(b, axis=-1)
+    q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + tv.shape).copy()
+    for k in range(1, 2 * curve.m + 2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
+        q *= 1.0 - h
+        q += h * cp[..., k, :]
+    return _point_rows(q, shape)
 
-    The running point is kept coordinate by coordinate, lead + (dim, t),
-    so every product runs along t.
+
+def _bernstein_wc(r1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Linear-time polynomial recursion on a reduced Bernstein polygon.
+
+    ``r1`` has shape lead + (dim, 2m+1, t) and ``ratio`` is (1 - t) / t,
+    which stays at most 1 for t in [0.5, 1); points below 0.5 pass the
+    polygon reversed, as the mirror image at 1 - t.
     """
-    tv, out, interior, scalar = _endpoint_split(curve, t)
-    ti = tv[interior]
-    if ti.size:
-        cp = curve.control_points.swapaxes(-1, -2)[..., None]
-        b = basis.curve_basis(curve.m, curve.omega, ti, mode)
-        s = np.cumsum(b, axis=-1)
-        q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + ti.shape).copy()
-        for k in range(1, 2 * curve.m + 2):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
-            q *= 1.0 - h
-            q += h * cp[..., k, :]
-        out[..., interior, :] = q.swapaxes(-1, -2)
-    return out[..., 0, :] if scalar else out
-
-
-def _bernstein_wc(r1: np.ndarray, t: np.ndarray, m: int, upper: bool) -> np.ndarray:
-    """Linear-time polynomial recursion on the reduced Bernstein polygon.
-
-    ``r1`` has shape lead + t.shape + (2m+1, dim).  ``upper`` selects
-    the branch for t in [0.5, 1); the other branch walks the polygon
-    backwards with the reciprocal ratio.
-    """
-    n = 2 * m
-    if upper:
-        q = r1[..., 0, :].copy()
-        ratio = (1.0 - t) / t
-        pick = lambda k: r1[..., k, :]
-    else:
-        q = r1[..., n, :].copy()
-        ratio = t / (1.0 - t)
-        pick = lambda k: r1[..., n - k, :]
-    h = np.ones_like(t)
+    n = r1.shape[-2] - 1
+    q = r1[..., 0, :].copy()
+    h = np.ones_like(ratio)
     for k in range(1, n + 1):
         h = 1.0 / (1.0 + (k / (n + 1.0 - k)) * ratio / h)
-        q += h[..., None] * (pick(k) - q)
+        q += h * (r1[..., k, :] - q)
     return q
 
 
@@ -221,20 +197,29 @@ def eval_new(curve: EphCurve | CurveBatch, t,
              mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Corner-cut onto a Bernstein polygon, then the polynomial recursion.
 
-    Points below and above t = 0.5 take the two branches of the
-    recursion (see ``_bernstein_wc``), each with its own corner weights.
+    The corner weights are undefined at t = 0 and t = 1, where the value
+    is the end control point.  Points below and above t = 0.5 take their
+    own corner weights and the two directions of the recursion (see
+    ``_bernstein_wc``).  Near t = 0 the corner weights underflow (see
+    ``corner_weights``): the result is NaN from about t = 1e-161 down for
+    m=1 and from about t = 1e-81 for m=2 (measured at omega from 1e-3 to
+    300), where ``eval_direct`` stays finite.
     """
-    tv, out, interior, scalar = _endpoint_split(curve, t)
-    cp = curve.control_points[..., None, :, :]      # broadcast over t
-    hi = tv >= 0.5
-    for upper, sel in ((False, interior & ~hi), (True, interior & hi)):
+    shape, tv, cp = _point_columns(curve, t)
+    # end control points at the ends; every other point is overwritten
+    out = np.where(tv == 0.0, cp[..., 0, :], cp[..., -1, :])
+    for sel, mirror in (((tv > 0.0) & (tv < 0.5), True),
+                        ((tv >= 0.5) & (tv < 1.0), False)):
         if sel.any():
             ti = tv[sel]
-            tau = basis.corner_weights(curve.m, curve.omega, ti, mode)[..., :, None]
+            tau = basis.corner_weights(curve.m, curve.omega, ti, mode).T
             r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
             r1 += cp[..., 1:, :]
-            out[..., sel, :] = _bernstein_wc(r1, ti, curve.m, upper)
-    return out[..., 0, :] if scalar else out
+            si, ui = ti, 1.0 - ti
+            if mirror:                  # the reversed polygon at 1 - t
+                r1, si, ui = r1[..., ::-1, :], ui, si
+            out[..., sel] = _bernstein_wc(r1, ui / si)
+    return _point_rows(out, shape)
 
 
 _EVALUATORS = {

@@ -22,12 +22,43 @@ def random_curve(rng, m, omega, dim=3):
 
 
 def test_endpoints_bitwise(rng):
+    line = np.array([0.0, 0.3, 1.0])
+    grid = np.array([[1.0, 0.6], [0.2, 0.0]])
     for m in (1, 2):
-        for w in (0.097, 0.35, 5.0):
-            curve = random_curve(rng, m, w)
-            for f in ALGORITHMS + (eval_direct,):
-                assert np.array_equal(f(curve, 0.0), curve.control_points[0])
-                assert np.array_equal(f(curve, 1.0), curve.control_points[-1])
+        for w in (0.097, 0.111625, 0.35, 5.0):
+            pts = rng.uniform(0, 1, (3, 2 * m + 2, 3))
+            for curve in (EphCurve(m=m, omega=w, dim=3, control_points=pts[0]),
+                          CurveBatch(m=m, omega=w, dim=3, control_points=pts)):
+                first = curve.control_points[..., 0, :]
+                last = curve.control_points[..., -1, :]
+                for f in ALGORITHMS + (eval_direct,):
+                    assert np.array_equal(f(curve, 0.0), first)
+                    assert np.array_equal(f(curve, 1.0), last)
+                    got = f(curve, line)
+                    assert np.array_equal(got[..., 0, :], first)
+                    assert np.array_equal(got[..., 2, :], last)
+                    got = f(curve, grid)
+                    assert np.array_equal(got[..., 0, 0, :], last)
+                    assert np.array_equal(got[..., 1, 1, :], first)
+
+
+# 2000 log-spaced omegas plus one where the closed forms miss all three
+# end rows by rounding
+END_OMEGAS = np.append(np.geomspace(1e-4, 650.0, 2000), 0.111625)
+
+
+def test_bases_are_unit_rows_at_the_ends():
+    # every basis an evaluator reads is exact at t = 0 and t = 1, which
+    # lets the evaluators run straight through the end points; the
+    # chains hold the two-space, hodograph (m=1, 2), four-space and
+    # curve bases
+    t = np.array([0.0, 1.0])
+    for w in END_OMEGAS:
+        bases = [basis.preimage_basis(1, w, t)]
+        bases += _corner_chain(1, w, t, EvalMode.AUTO)
+        bases += _corner_chain(2, w, t, EvalMode.AUTO)
+        for b in bases:
+            assert np.array_equal(b, np.eye(b.shape[-1])[[0, -1]]), (w, b)
 
 
 def test_equal_control_points(rng):
@@ -85,12 +116,31 @@ def test_new_branch_boundary_consistency(rng):
     for m in (1, 2):
         curve = random_curve(rng, m, 3.0)
         t = np.array([0.5])
-        tau = basis.corner_weights(m, 3.0, t)[..., :, None]
-        cp = curve.control_points
-        r1 = tau * cp[:-1] + (1.0 - tau) * cp[1:]
-        upper = _bernstein_wc(r1, t, m, upper=True)
-        lower = _bernstein_wc(r1, t, m, upper=False)
+        tau = basis.corner_weights(m, 3.0, t).T
+        cp = curve.control_points.T[..., None]
+        r1 = tau * cp[:, :-1] + (1.0 - tau) * cp[:, 1:]
+        upper = _bernstein_wc(r1, (1.0 - t) / t)
+        lower = _bernstein_wc(r1[:, ::-1], t / (1.0 - t))
         assert np.max(np.abs(upper - lower)) < 1e-12
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="eval_new has no small-t path: its corner weights "
+                          "are NaN where t**(2m) underflows")
+@pytest.mark.parametrize("w", [0.15, 1.0, 4.0, 40.0, 300.0])
+@pytest.mark.parametrize("m, t", [(1, 1e-200), (2, 1e-100)])
+def test_new_tiny_t_against_direct(m, t, w):
+    # polygon i is the i-th unit polygon in x, so x reads basis function i
+    n = 2 * m + 2
+    pts = np.zeros((n, n, 2))
+    pts[:, :, 0] = np.eye(n)
+    curve = CurveBatch(m=m, omega=w, dim=2, control_points=pts)
+    ref = eval_direct(curve, t)
+    if not np.all(np.isfinite(ref)):
+        pytest.fail("eval_direct is not finite at t=%g" % t)
+    with np.errstate(all="ignore"):
+        got = eval_new(curve, t)
+    assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def test_new_reduction_weight_identity(rng):
