@@ -27,7 +27,7 @@ for m, omega in ((1, 2.0), (2, 6.0)):
     dnorm = np.linalg.norm(derivative(curve, ts), axis=-1)
     print(f"max ||r'(t)| - sigma(t)| on the grid: {np.max(np.abs(dnorm - speed)):.2e}")
 
-    s = arc_length_coeffs(pre).s
+    s = arc_length_coeffs(pre)
     total = float(arc_length(pre, 1.0))
     ref, _ = quad(lambda x: float(parametric_speed(pre, x)), 0.0, 1.0,
                   epsabs=1e-12, epsrel=1e-12, limit=200)

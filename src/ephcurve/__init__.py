@@ -21,11 +21,9 @@ from .basis import (
 )
 from .bench import BreakpointResult, RhoConfig, TimingRow, find_omega_bar, rho, time_methods
 from .curve import (
-    ArcLengthCoefficients,
     CurveBatch,
     EphCurve,
     Preimage,
-    SpeedCoefficients,
     arc_length,
     arc_length_coeffs,
     curve_from_preimage,
@@ -62,6 +60,6 @@ from .hermite import (
     solve_planar,
     solve_spatial,
 )
-from .quat import Quaternion, Vector3, sandwich_i, solve_sandwich, sym_sandwich_i
+from .quat import Quaternion, sandwich_i, solve_sandwich, sym_sandwich_i
 
 __version__ = "0.1.0"

@@ -322,6 +322,11 @@ def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
     v1 = 1.0 - v0 - v2
     if m == 1:
         return np.stack([v0, v1, v2], axis=-1)
+    return _hodograph_products(v0, v1, v2)
+
+
+def _hodograph_products(v0, v1, v2) -> np.ndarray:
+    """The m=2 hodograph basis from the m=1 functions v0, v1, v2."""
     return np.stack([
         v0 * v0,
         2.0 * v0 * v1,

@@ -11,6 +11,7 @@ over the hodograph and curve bases respectively.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,6 @@ __all__ = [
     "EphCurve",
     "CurveBatch",
     "Preimage",
-    "SpeedCoefficients",
-    "ArcLengthCoefficients",
     "eval_direct",
     "derivative",
     "curve_from_preimage",
@@ -129,7 +128,8 @@ class Preimage:
     The curve built from it is regular iff the four coefficient
     functions have no common root; see :func:`is_regular` for the
     numerical proxy.  An all-zero preimage is accepted (it yields the
-    degenerate point curve with zero speed and length).
+    degenerate point curve with zero speed and length); non-finite
+    coefficients raise ``ValueError``.
     """
 
     m: int
@@ -143,6 +143,8 @@ class Preimage:
         if len(cs) != self.m + 1:
             raise ValueError("preimage of order m=%d needs %d quaternion "
                              "coefficients, got %d" % (self.m, self.m + 1, len(cs)))
+        if not all(math.isfinite(v) for q in cs for v in q.components()):
+            raise ValueError("preimage coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "omega", omega)
 
@@ -164,20 +166,6 @@ class Preimage:
     @classmethod
     def from_json(cls, text: str) -> "Preimage":
         return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class SpeedCoefficients:
-    """Parametric-speed coefficients over the hodograph basis."""
-
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
-class ArcLengthCoefficients:
-    """Arc-length coefficients over the curve basis; s[0] = 0."""
-
-    s: np.ndarray
 
 
 def eval_direct(curve: EphCurve | CurveBatch, t,
@@ -222,10 +210,6 @@ def _hodograph_coeffs(m: int, c, a, product) -> list:
             p(a[1], a[2]), p(a[2], a[2])]
 
 
-def _sandwich(a: Quaternion, b: Quaternion) -> np.ndarray:
-    return np.array(sym_sandwich_i(a, b).components())
-
-
 def curve_from_preimage(preimage: Preimage, r0) -> EphCurve:
     """Control points of the PH curve with hodograph ``A(t) i A*(t)``.
 
@@ -238,7 +222,7 @@ def curve_from_preimage(preimage: Preimage, r0) -> EphCurve:
         raise ValueError("r0 must be a 3-vector")
     m = preimage.m
     c = basis.constants(m, preimage.omega)
-    h = np.array(_hodograph_coeffs(m, c, preimage.coeffs, _sandwich))
+    h = np.array(_hodograph_coeffs(m, c, preimage.coeffs, sym_sandwich_i))
     deltas = _integral_weights(m, c)[:, None] * h
     pts = np.cumsum(np.vstack([r0, deltas]), axis=0)
     return EphCurve(m=m, omega=preimage.omega, dim=3, control_points=pts)
@@ -256,35 +240,38 @@ def hodograph(preimage: Preimage, t) -> np.ndarray:
     ], axis=-1)
 
 
-def parametric_speed_coeffs(preimage: Preimage) -> SpeedCoefficients:
-    """Coefficients of |r'(t)| over the hodograph basis.
+def parametric_speed_coeffs(preimage: Preimage) -> np.ndarray:
+    """Coefficients sigma of |r'(t)| over the hodograph basis.
 
-    The quaternionic cross terms reduce to 4-component dot products, so
-    all coefficients are plain reals.
+    Returns a float array of shape (2m+1,), one real per hodograph-basis
+    function: the quaternionic cross terms reduce to 4-component dot
+    products, so all coefficients are plain reals.
     """
     c = basis.constants(preimage.m, preimage.omega)
-    sigma = _hodograph_coeffs(preimage.m, c, preimage.coeffs, dot)
-    return SpeedCoefficients(np.array(sigma))
+    return np.array(_hodograph_coeffs(preimage.m, c, preimage.coeffs, dot))
 
 
-def arc_length_coeffs(preimage: Preimage) -> ArcLengthCoefficients:
-    """Cumulative arc-length coefficients over the curve basis."""
+def arc_length_coeffs(preimage: Preimage) -> np.ndarray:
+    """Cumulative arc-length coefficients s over the curve basis.
+
+    Returns a float array of shape (2m+2,), one real per curve-basis
+    function, with s[0] = 0 and s[-1] the total length.
+    """
     m = preimage.m
     c = basis.constants(m, preimage.omega)
     sigma = np.array(_hodograph_coeffs(m, c, preimage.coeffs, dot))
-    s = np.concatenate([[0.0], np.cumsum(_integral_weights(m, c) * sigma)])
-    return ArcLengthCoefficients(s)
+    return np.concatenate([[0.0], np.cumsum(_integral_weights(m, c) * sigma)])
 
 
 def parametric_speed(preimage: Preimage, t) -> np.ndarray:
     """|r'(t)| evaluated from the closed-form speed coefficients."""
-    sigma = parametric_speed_coeffs(preimage).sigma
+    sigma = parametric_speed_coeffs(preimage)
     return basis.hodograph_basis(preimage.m, preimage.omega, t) @ sigma
 
 
 def arc_length(preimage: Preimage, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Arc length from 0 to t evaluated from the closed-form coefficients."""
-    s = arc_length_coeffs(preimage).s
+    s = arc_length_coeffs(preimage)
     return basis.curve_basis(preimage.m, preimage.omega, t, mode) @ s
 
 

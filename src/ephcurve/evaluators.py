@@ -80,12 +80,14 @@ def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
 
 def _corner_chain(m: int, omega: float, t: np.ndarray,
                   mode: EvalMode) -> list:
-    """Bases of the nested chain, from 1 function up to the curve basis."""
-    chain = [np.ones(t.shape + (1,))]
-    chain.append(_two_space_basis(omega, t))
-    chain.append(basis.hodograph_basis(1, omega, t))
+    """Bases of the nested chain, from 1 function up to the curve basis.
+
+    For m=2 the hodograph level is built from the m=1 level before it,
+    by the products ``hodograph_basis(2, ...)`` uses."""
+    h1 = basis.hodograph_basis(1, omega, t)
+    chain = [np.ones(t.shape + (1,)), _two_space_basis(omega, t), h1]
     if m == 2:
-        h = basis.hodograph_basis(2, omega, t)
+        h = basis._hodograph_products(h1[..., 0], h1[..., 1], h1[..., 2])
         chain.append(_four_space_basis(omega, h))
         chain.append(h)
     chain.append(basis.curve_basis(m, omega, t, mode))

@@ -20,7 +20,7 @@ import numpy as np
 from . import basis
 from .curve import EphCurve, Preimage, curve_from_preimage
 from .errors import DegenerateDirectionError, ZeroVectorError
-from .quat import Vector3, solve_sandwich, sym_sandwich_i
+from .quat import solve_sandwich, sym_sandwich_i
 
 __all__ = [
     "HermiteProblem",
@@ -39,6 +39,8 @@ def _as_point(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape not in ((2,), (3,)):
         raise ValueError("%s must be a 2- or 3-vector" % name)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("%s must be finite" % name)
     return a
 
 
@@ -129,8 +131,8 @@ def solve_spatial(problem: HermiteProblem, angles: AngleChoice) -> HermiteSoluti
     di = _embed3(problem.di)
     df = _embed3(problem.df)
 
-    a0 = solve_sandwich(Vector3(*di), angles.eta0)
-    a2 = solve_sandwich(Vector3(*df), angles.eta2)
+    a0 = solve_sandwich(di, angles.eta0)
+    a2 = solve_sandwich(df, angles.eta2)
 
     c = basis.constants(2, w)
     i0 = c.q2
@@ -138,14 +140,14 @@ def solve_spatial(problem: HermiteProblem, angles: AngleChoice) -> HermiteSoluti
     i2 = 0.5 * c.q4
     i3 = c.q4_q0_over_q1
 
-    cross = np.array(sym_sandwich_i(a0, a2).components())
+    cross = sym_sandwich_i(a0, a2)
     cvec = (i3 * (r_end - r0) + (i1 * i1 - i0 * i3) * (di + df)
             + (i1 * i1 - i2 * i3) * 2.0 * cross)
     scale = 1.0 + max(math.hypot(*(r_end - r0)), math.hypot(*di), math.hypot(*df))
     if math.hypot(*cvec) < C_DEGENERACY_RTOL * scale:
         raise DegenerateDirectionError(
             "middle-coefficient direction vanishes for this data")
-    ahat = solve_sandwich(Vector3(*cvec), angles.eta1)
+    ahat = solve_sandwich(cvec, angles.eta1)
     a1 = (1.0 / i3) * (ahat - i1 * (a0 + a2))
 
     preimage = Preimage(m=2, omega=w, coeffs=(a0, a1, a2))

@@ -4,12 +4,19 @@ The hodograph of a spatial PH curve is written as the pure-vector product
 ``A i A*``; constructing curves needs that product, its symmetric
 bilinear companion ``(A i B* + B i A*)/2``, and the inverse problem of
 finding ``A`` with ``A i A* = d`` for a given vector ``d``.
+
+Quaternions are ``Quaternion`` records; a pure vector ``x*i + y*j + z*k``
+is a float array ``[x, y, z]`` of shape (3,), the type the curve layer
+works in.  The sandwich maps return such arrays and ``solve_sandwich``
+takes any length-3 sequence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateDirectionError, ZeroVectorError
 
@@ -58,40 +65,6 @@ class Quaternion:
     def components(self) -> tuple:
         return (self.w, self.x, self.y, self.z)
 
-    @staticmethod
-    def from_vector(v: "Vector3") -> "Quaternion":
-        """Pure quaternion identified with a 3-vector."""
-        return Quaternion(0.0, v.x, v.y, v.z)
-
-
-@dataclass(frozen=True)
-class Vector3:
-    """Point/vector in R^3, identified with the pure quaternion x*i+y*j+z*k."""
-
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def __add__(self, other: "Vector3") -> "Vector3":
-        return Vector3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vector3") -> "Vector3":
-        return Vector3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __rmul__(self, scalar) -> "Vector3":
-        return Vector3(scalar * self.x, scalar * self.y, scalar * self.z)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y, self.z)
-
-    def components(self) -> tuple:
-        return (self.x, self.y, self.z)
-
-    @staticmethod
-    def from_quaternion(q: Quaternion) -> "Vector3":
-        """Vector part of a (pure) quaternion; scalar part is dropped."""
-        return Vector3(q.x, q.y, q.z)
-
 
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -113,21 +86,23 @@ def dot(p: Quaternion, q: Quaternion) -> float:
     return p.w * q.w + p.x * q.x + p.y * q.y + p.z * q.z
 
 
-def sym_sandwich_i(a: Quaternion, b: Quaternion) -> Vector3:
+def sym_sandwich_i(a: Quaternion, b: Quaternion) -> np.ndarray:
     """Return ``(a i b* + b i a*)/2``: the bilinear form polarizing sandwich_i.
 
-    Term grouping keeps the result bitwise symmetric in (a, b).
+    The product is a pure quaternion; its (i, j, k) components come back
+    as a float array of shape (3,).  Term grouping keeps the result
+    bitwise symmetric in (a, b).
     """
-    return Vector3(
+    return np.array([
         (a.w * b.w + b.w * a.w) * 0.5 + (a.x * b.x + b.x * a.x) * 0.5
         - (a.y * b.y + b.y * a.y) * 0.5 - (a.z * b.z + b.z * a.z) * 0.5,
         (a.x * b.y + b.x * a.y) + (a.w * b.z + b.w * a.z),
         (a.x * b.z + b.x * a.z) - (a.w * b.y + b.w * a.y),
-    )
+    ], dtype=float)
 
 
-def sandwich_i(a: Quaternion) -> Vector3:
-    """Return ``a i a*`` as a vector.
+def sandwich_i(a: Quaternion) -> np.ndarray:
+    """Return the (i, j, k) components of ``a i a*``, shape (3,).
 
     Always a pure vector with norm |a|^2; coincides bitwise with
     ``sym_sandwich_i(a, a)``.
@@ -140,14 +115,20 @@ def exp_i(eta: float) -> Quaternion:
     return Quaternion(math.cos(eta), math.sin(eta), 0.0, 0.0)
 
 
-def solve_sandwich(d: Vector3, eta: float) -> Quaternion:
+def solve_sandwich(d, eta: float) -> Quaternion:
     """Solve ``A i A* = d`` for A, with free angle ``eta``.
 
-    The one-parameter family of solutions is
-    ``A = sqrt(|d|) * (i + w)/|i + w| * exp(eta*i)`` with ``w = d/|d|``.
+    ``d`` is any length-3 sequence of reals, the (i, j, k) components of
+    the pure quaternion to match (a shape-(3,) array included).  The
+    one-parameter family of solutions is
+    ``A = sqrt(|d|) * (i + w)/|i + w| * exp(eta*i)`` with ``w = d/|d|``;
+    ``|d|`` is taken with ``math.hypot``, so it neither overflows nor
+    underflows while representable.
 
     Raises
     ------
+    ValueError
+        if ``d`` or ``eta`` is not finite.
     ZeroVectorError
         if ``|d| = 0``.
     DegenerateDirectionError
@@ -155,10 +136,14 @@ def solve_sandwich(d: Vector3, eta: float) -> Quaternion:
         ``|i + w|`` vanishes and the formula is singular.  No silent
         reorientation is applied; callers must choose their own gauge.
     """
-    nd = d.norm()
+    x, y, z = (float(v) for v in d)
+    if not all(map(math.isfinite, (x, y, z, eta))):
+        raise ValueError("solve_sandwich needs finite data, got d=(%r, %r, %r), eta=%r"
+                         % (x, y, z, eta))
+    nd = math.hypot(x, y, z)
     if nd == 0.0:
         raise ZeroVectorError("cannot solve A i A* = d for d = 0")
-    lam, mu, nu = d.x / nd, d.y / nd, d.z / nd
+    lam, mu, nu = x / nd, y / nd, z / nd
     base = Quaternion(0.0, 1.0 + lam, mu, nu)  # i + w as a pure quaternion
     nb = base.norm()
     if nb < DEGENERATE_AXIS_TOL:

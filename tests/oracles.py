@@ -7,17 +7,31 @@ references are deliberately independent of the package's evaluation
 paths: the package never imports this module.
 """
 
+import math
 from functools import lru_cache
 
 from mpmath import mpf, sinh, cosh, coth, exp, fsum, lu_solve, matrix, workdps
 
 
-def _dps(omega) -> int:
-    return 40 + int(2.0 * float(omega))
+def _dps(omega, t=None) -> int:
+    """Working digits for the closed forms at shape omega and parameter t.
+
+    The hyperbolic terms cancel about 2*omega digits (m=2 products reach
+    exp(2*omega)).  Near an end the forms cancel further: the m=2 curve
+    basis is built from g0(a) = O(a^5) with a = omega*t, whose terms are
+    O(a), so at most 4*log10(1/(omega*min(t, 1-t))) more digits go.
+    """
+    digits = 40 + int(2.0 * float(omega))
+    if t is not None and float(omega) > 0.0:
+        end = min(float(t), 1.0 - float(t))
+        if end > 0.0:                   # in logs: omega*t may underflow
+            lost = -4.0 * (math.log10(float(omega)) + math.log10(end))
+            digits += max(0, math.ceil(lost))
+    return digits
 
 
 def psi_ref(m, omega, t):
-    with workdps(_dps(omega)):
+    with workdps(_dps(omega, t)):
         w, t = mpf(omega), mpf(t)
         if m == 1:
             out = [sinh(w / 2 * (1 - t)) / sinh(w / 2), sinh(w / 2 * t) / sinh(w / 2)]
@@ -27,7 +41,7 @@ def psi_ref(m, omega, t):
 
 
 def varphi_ref(m, omega, t):
-    with workdps(_dps(omega)):
+    with workdps(_dps(omega, t)):
         w, t = mpf(omega), mpf(t)
         if m == 1:
             return [
@@ -45,7 +59,7 @@ def _g0(a):
 
 
 def phi_ref(m, omega, t):
-    with workdps(_dps(omega)):
+    with workdps(_dps(omega, t)):
         w, t = mpf(omega), mpf(t)
         if m == 1:
             den_mid = (w * coth(w / 2) - 2) * (w - sinh(w))
@@ -74,7 +88,7 @@ def phi_ref(m, omega, t):
 
 
 def tau_ref(m, omega, t):
-    with workdps(_dps(omega)):
+    with workdps(_dps(omega, t)):
         w, t = mpf(omega), mpf(t)
         p = phi_ref(m, omega, t)
         u = 1 - t

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mpf
 
 import oracles
 from conftest import rel_inf
@@ -138,6 +139,22 @@ def test_curve_basis_stable_against_oracle(m, w):
     # rises toward small omega (tiny true numerators against O(1) terms)
     tol = 1e-12 if w >= 4.0 else 5e-9
     assert rel_inf(got, ref) < tol
+
+
+@pytest.mark.parametrize("t", [1e-50, 1e-200])
+@pytest.mark.parametrize("m", [1, 2])
+def test_oracle_phi_converged_at_tiny_t(monkeypatch, m, t):
+    # the oracle is the reference near the ends too: at twice its working
+    # precision every function, down to the O(t^(2m+1)) last one, agrees
+    # to far below double rounding
+    ws = (0.15, 4.0, 40.0)
+    first = {w: oracles.phi_ref(m, w, t) for w in ws}
+    dps = oracles._dps
+    monkeypatch.setattr(oracles, "_dps", lambda *args: 2 * dps(*args))
+    for w in ws:
+        again = oracles.phi_ref(m, w, t)
+        for got, ref in zip(first[w], again):
+            assert ref != 0 and abs(got - ref) <= mpf("1e-30") * abs(ref), (w, got, ref)
 
 
 def test_curve_basis_naive_against_oracle():

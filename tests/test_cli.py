@@ -124,6 +124,15 @@ def test_hermite_zero_derivative_exit_4(tmp_path):
     assert run_cli(["hermite", "--problem", str(prob)]) == 4
 
 
+def test_hermite_non_finite_data_exit_2(tmp_path, capsys):
+    doc = {"r0": [float("nan"), 0.0], "r_end": [1.0, 1.0], "di": [1.0, 0.0],
+           "df": [0.0, 1.0], "omega": 1.0, "tag": "++"}
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps(doc))
+    assert run_cli(["hermite", "--problem", str(prob)]) == 2
+    assert "r0 must be finite" in capsys.readouterr().err
+
+
 def test_basis_rows_sum_to_one(tmp_path):
     out = tmp_path / "basis.csv"
     assert run_cli(["basis", "--m", "2", "--omega", "100", "--grid", "5",

@@ -103,6 +103,15 @@ def test_preimage_validation():
     assert not is_regular(zero)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("bad", [(math.nan, 1.0, 0.0, 0.0), (0.0, 1.0, math.inf, 0.0),
+                                 Quaternion(0.0, -math.inf, 0.0, 0.0)])
+def test_preimage_rejects_non_finite_coeffs(m, bad):
+    coeffs = ((0.0, 1.0, 0.0, 0.0),) * m + (bad,)
+    with pytest.raises(ValueError, match="finite"):
+        Preimage(m=m, omega=1.0, coeffs=coeffs)
+
+
 # ---------------------------------------------------------------------------
 # direct evaluation / derivative
 # ---------------------------------------------------------------------------
@@ -185,9 +194,9 @@ def test_curve_from_preimage_polynomial_limit(rng):
     curve = curve_from_preimage(pre, np.zeros(3))
     a0, a1 = pre.coeffs
     from ephcurve.quat import sandwich_i, sym_sandwich_i
-    d0 = np.array(sandwich_i(a0).components()) / 3.0
-    d1 = np.array(sym_sandwich_i(a0, a1).components()) / 3.0
-    d2 = np.array(sandwich_i(a1).components()) / 3.0
+    d0 = sandwich_i(a0) / 3.0
+    d1 = sym_sandwich_i(a0, a1) / 3.0
+    d2 = sandwich_i(a1) / 3.0
     expect = np.cumsum([np.zeros(3), d0, d1, d2], axis=0)
     assert np.max(np.abs(curve.control_points - expect)) < 1e-6
 
@@ -227,14 +236,14 @@ def test_speed_coeffs_examples():
     w = 2.4
     c = basis.constants(1, w)
     pre = Preimage(m=1, omega=w, coeffs=(Quaternion(1.0), Quaternion(1.0)))
-    sigma = parametric_speed_coeffs(pre).sigma
+    sigma = parametric_speed_coeffs(pre)
     assert np.allclose(sigma, [1.0, c.c1, 1.0], rtol=1e-14)
     # zero middle coefficient kills the q0 part of the central weight
     q = basis.constants(2, w)
     pre2 = Preimage(m=2, omega=w,
                     coeffs=(Quaternion(0, 1, 2, 0), Quaternion(),
                             Quaternion(0, 0, 1, 1)))
-    sigma2 = parametric_speed_coeffs(pre2).sigma
+    sigma2 = parametric_speed_coeffs(pre2)
     from ephcurve.quat import dot
     assert sigma2[1] == 0.0 and sigma2[3] == 0.0
     assert sigma2[2] == pytest.approx(q.q1 * dot(pre2.coeffs[0], pre2.coeffs[2]),
@@ -331,20 +340,20 @@ def test_ph_construction_matches_oracle(rng, m, w):
         deltas, sigma, s = _ph_reference(m, w, pre.coeff_array())
         cp = curve_from_preimage(pre, np.zeros(3)).control_points
         assert rel_inf(np.diff(cp, axis=0), deltas) < 1e-13
-        assert rel_inf(parametric_speed_coeffs(pre).sigma, sigma) < 1e-13
-        assert rel_inf(arc_length_coeffs(pre).s, s) < 1e-13
+        assert rel_inf(parametric_speed_coeffs(pre), sigma) < 1e-13
+        assert rel_inf(arc_length_coeffs(pre), s) < 1e-13
 
 
 def test_arc_length_zero_preimage():
     pre = Preimage(m=2, omega=1.0, coeffs=(Quaternion(),) * 3)
-    assert np.allclose(arc_length_coeffs(pre).s, 0.0)
+    assert np.allclose(arc_length_coeffs(pre), 0.0)
 
 
 def test_arc_length_total_m1():
     w = 1.0
     c = basis.constants(1, w)
     pre = Preimage(m=1, omega=w, coeffs=(Quaternion(1.0), Quaternion(1.0)))
-    s = arc_length_coeffs(pre).s
+    s = arc_length_coeffs(pre)
     assert s[0] == 0.0
     assert s[-1] == pytest.approx(2 * c.c2 + c.c3, rel=1e-14)
     total, _ = quad(lambda x: parametric_speed(pre, x), 0.0, 1.0,
@@ -358,7 +367,7 @@ def test_arc_length_quintic_limit(rng):
     from ephcurve.quat import dot
     expect = ((dot(a0, a0) + dot(a2, a2)) / 5.0 + 2.0 * dot(a1, a1) / 15.0
               + dot(a0, a1) / 5.0 + dot(a1, a2) / 5.0 + dot(a0, a2) / 15.0)
-    s = arc_length_coeffs(pre).s
+    s = arc_length_coeffs(pre)
     assert s[-1] == pytest.approx(expect, rel=1e-6)
 
 

@@ -210,6 +210,15 @@ def test_non_finite_omega_rejected(w):
         reproduce_hyperbolic(w)
 
 
+@pytest.mark.parametrize("field", ["r0", "r_end", "di", "df"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vectors_rejected(field, bad):
+    data = dict(r0=(0.0, 0.0), r_end=(1.0, 1.0), di=(1.0, 0.0), df=(0.0, 1.0))
+    data[field] = (0.5, bad)
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        HermiteProblem(omega=1.0, **data)
+
+
 def test_zero_derivative_rejected():
     with pytest.raises(ZeroVectorError):
         HermiteProblem(r0=(0, 0), r_end=(1, 1), di=(0.0, 0.0), df=(1, 0),
@@ -238,9 +247,9 @@ def test_degenerate_middle_direction():
     i2 = 0.5 * c.q4
     # scale r_end so c = I3*dr + (I1^2-I0*I3)(di+df) + (I1^2-I2*I3)*2*cross = 0
     di = np.array([0.0, 1.0, 0.0])
-    from ephcurve.quat import Vector3, solve_sandwich, sym_sandwich_i
-    a0 = solve_sandwich(Vector3(*di), 0.0)
-    cross = np.array(sym_sandwich_i(a0, a0).components())
+    from ephcurve.quat import solve_sandwich, sym_sandwich_i
+    a0 = solve_sandwich(di, 0.0)
+    cross = sym_sandwich_i(a0, a0)
     dr = -((i1 * i1 - i0 * i3) * 2 * di + (i1 * i1 - i2 * i3) * 2 * cross) / i3
     problem = HermiteProblem(r0=(0.0, 0.0, 0.0), r_end=tuple(dr),
                              di=tuple(di), df=tuple(di), omega=1.0)
