@@ -436,8 +436,31 @@ def _sum_terms(terms) -> np.ndarray:
 
     The stable numerators cancel heavily for omega below ~1; pairwise
     summation keeps the roundoff near the per-term rounding floor.
+
+    The order is the one ``np.sum(np.stack(terms, -1), -1)`` uses, spelled
+    out so that no (..., n) stack is built: below 8 terms a sequential
+    sum from +0.0; otherwise eight running partials over the full blocks
+    of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    remaining terms one by one, and +0.0 added last (numpy's sum of -0.0
+    terms is +0.0).  Keeping that order keeps every output bit, and with
+    it criterion 8's WC/de Casteljau breakpoints, which roundoff decides.
+    No term is added into in place: callers pass live arrays.
     """
-    return np.sum(np.stack(terms, axis=-1), axis=-1)
+    n = len(terms)
+    if n < 8:
+        total = 0.0 + terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+    full = n - n % 8
+    r = terms[:8]
+    for i in range(8, full, 8):
+        r = [a + b for a, b in zip(r, terms[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for term in terms[full:]:
+        total += term
+    total += 0.0
+    return total
 
 
 def _stable_p5_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -746,9 +769,13 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     Only defined strictly inside (0, 1): the defining ratios have
     removable discontinuities at the endpoints, where ``eval_new`` takes
     the end control points instead.  Near t = 0 the ratios divide by
-    t^(2m), which underflows: in every mode the weights are NaN from
-    about t = 1e-161 (m=1) and t = 1e-80 (m=2) down.  No series fallback
-    is applied there.
+    t^(2m), which underflows: in AUTO, NAIVE and TAYLOR5 mode the
+    weights are NaN from about t = 1e-161 (m=1) and t = 1e-81 (m=2)
+    down; explicit stable weights below their omega band turn NaN
+    earlier (m=2: from 5.6e-78 at omega = 1e-3).  Well before that the stable m=1 tau_1 is wrong: its numerator cancels, so
+    its error grows like 1e-16 / t (tau_1 = -1.05e33 at omega = 4,
+    t = 1e-50, where the true value is about 1), and ``eval_new`` is
+    O(1) wrong there.  No series fallback is applied.
     """
     _check_m(m)
     omega = _check_omega(omega)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import platform
 import sys
 
 import numpy as np
@@ -34,6 +36,10 @@ EXIT_DEGENERATE = 4
 # the SVG polyline of `hermite --plot`: curve samples and canvas size
 _PLOT_SAMPLES = 501
 _SVG_SIZE = (640, 480)
+
+# thread-count variables of the BLAS builds numpy may load
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class InputError(Exception):
@@ -168,6 +174,15 @@ def cmd_basis(args) -> int:
     return EXIT_OK
 
 
+def _environment_line() -> str:
+    """What a timing depends on besides the code: interpreter, numpy,
+    CPU and the BLAS thread settings (``unset`` when not set)."""
+    fields = [("python", platform.python_version()), ("numpy", np.__version__),
+              ("machine", platform.machine()), ("cpu_count", os.cpu_count())]
+    fields += [(v, os.environ.get(v, "unset")) for v in _BLAS_THREAD_VARS]
+    return "environment " + " ".join("%s=%s" % kv for kv in fields)
+
+
 def cmd_bench(args) -> int:
     if args.experiment in ("rho", "breakpoints"):
         grid = bench.default_omega_grid(args.omega_points, args.omega_max)
@@ -203,9 +218,11 @@ def cmd_bench(args) -> int:
     header = ["ephcurve bench experiment=timing d=%d m=%d curves=%d grid=%d "
               "repetitions=%d k=%d..%d seed=%d"
               % (args.d, args.m, args.curves, args.grid, args.repetitions,
-                 args.k_min, args.k_max, args.seed)]
+                 args.k_min, args.k_max, args.seed),
+              _environment_line()]
     with _open_out(args.out) as out:
-        out.write("# %s\n" % header[0])
+        for line in header:
+            out.write("# %s\n" % line)
         out.write("method,omega,median_seconds\n")
         for row in rows:
             out.write("%s,%.17g,%.17g\n" % (row.method.value, row.omega,

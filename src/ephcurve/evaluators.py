@@ -104,21 +104,22 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
     forward substitution in j.  The true weights are convex for the
     nested chain, so the solution is clipped to [0, 1]: where a basis
     value underflows the raw quotient is pure noise, and that node
-    carries no mass anyway.
+    carries no mass anyway.  Each level is stored as (p+1, t) rows, so
+    the point loops read t-contiguous weights.
     """
     chain = _corner_chain(m, omega, t, mode)
     weights = []
     for p in range(2 * m + 1):
         bp = chain[p]
         bp1 = chain[p + 1]
-        lam = np.empty(t.shape + (p + 1,))
+        lam = np.empty((p + 1,) + t.shape)
         carried = np.zeros_like(t)            # lam[j-1] * B_{p,j-1}
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(p + 1):
                 raw = 1.0 - (bp1[..., j] - carried) / bp[..., j]
                 raw = np.where(bp[..., j] > 0.0, raw, 0.0)
                 np.clip(raw, 0.0, 1.0, out=raw)
-                lam[..., j] = raw
+                lam[j] = raw
                 carried = raw * bp[..., j]
         weights.append(lam)
     return weights
@@ -152,13 +153,13 @@ def eval_decasteljau(curve: EphCurve | CurveBatch, t,
     n = 2 * curve.m + 1
     pts = []
     for j in range(n):
-        lv = lam[n - 1][:, j]
+        lv = lam[n - 1][j]
         c = (1.0 - lv) * cp[..., j, :]
         c += lv * cp[..., j + 1, :]
         pts.append(c)
     for p in range(n - 2, -1, -1):
         for j in range(p + 1):
-            lv = lam[p][:, j]
+            lv = lam[p][j]
             pts[j] *= 1.0 - lv
             pts[j] += lv * pts[j + 1]
     return _point_rows(pts[0], shape)
@@ -205,7 +206,11 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     ``_bernstein_wc``).  Near t = 0 the corner weights underflow (see
     ``corner_weights``): the result is NaN from about t = 1e-161 down for
     m=1 and from about t = 1e-81 for m=2 (measured at omega from 1e-3 to
-    300), where ``eval_direct`` stays finite.
+    300), where ``eval_direct`` stays finite.  Before the NaN, m=1 goes
+    wrong: against ``eval_direct``, with a random polygon in [0, 1]^3,
+    the error is 3e-4 (omega = 4) and 9e-7 (omega = 40) at t = 1e-30,
+    and O(1), 0.4, by t = 1e-50 at both and by t = 1e-160 at
+    omega = 300.
     """
     shape, tv, cp = _point_columns(curve, t)
     # end control points at the ends; every other point is overwritten
@@ -214,7 +219,10 @@ def eval_new(curve: EphCurve | CurveBatch, t,
                         ((tv >= 0.5) & (tv < 1.0), False)):
         if sel.any():
             ti = tv[sel]
-            tau = basis.corner_weights(curve.m, curve.omega, ti, mode).T
+            # (2m+1, t) with t contiguous, so r1 and the recursion run
+            # along contiguous t
+            tau = np.ascontiguousarray(
+                basis.corner_weights(curve.m, curve.omega, ti, mode).T)
             r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
             r1 += cp[..., 1:, :]
             si, ui = ti, 1.0 - ti

@@ -1,8 +1,11 @@
 """Grid invariants of the bases: positivity, partition of unity,
-symmetry, derivative and antiderivative relations, mode agreement."""
+symmetry, derivative and antiderivative relations, mode agreement, and
+the bitwise contracts of the stable forms (summation order, one point
+against a grid)."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import rel_inf
@@ -114,3 +117,72 @@ def test_corner_weights_endpoint_limits_match_bernstein_reduction(rng):
     for m in (1, 2):
         tau = basis.corner_weights(m, 1e-5, ts, EvalMode.TAYLOR5)
         assert np.max(np.abs(tau - (1.0 - ts)[:, None])) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# bitwise contracts of the stable forms
+# ---------------------------------------------------------------------------
+
+SUM_SHAPES = [(), (1,), (501,), (7, 9)]
+SUM_SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan]
+
+
+def _stacked_sum(terms):
+    """The reference order: numpy's pairwise sum along a stacked axis."""
+    return np.sum(np.stack(terms, axis=-1), axis=-1)
+
+
+def _assert_same_bits(got, ref):
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref, equal_nan=True)
+    # A NaN's sign is not compared: where NaNs of both signs meet, numpy's
+    # scalar and short-array + keep one operand's NaN and np.sum the
+    # other's, so no rewrite of the order can pin it.
+    keep = ~np.isnan(ref)
+    assert np.array_equal(np.signbit(got)[keep], np.signbit(ref)[keep])
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       exponents=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+       specials=st.lists(st.sampled_from(SUM_SPECIALS), max_size=4))
+@example(n=3, seed=3, exponents=(-300.0, 300.0), specials=[])
+@example(n=5, seed=5, exponents=(-20.0, 0.0), specials=[-0.0, np.nan])
+@example(n=10, seed=10, exponents=(-300.0, 300.0), specials=[np.inf, -np.inf, np.nan])
+@example(n=24, seed=24, exponents=(0.0, 0.0), specials=[-0.0])
+@example(n=28, seed=28, exponents=(290.0, 300.0), specials=[np.inf])
+def test_sum_terms_is_numpys_stacked_sum(shape, n, seed, exponents, specials):
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted(exponents)
+    terms = [np.asarray(rng.choice([-1.0, 1.0], shape)
+                        * 10.0 ** rng.uniform(lo, hi, shape)) for _ in range(n)]
+    for v in specials:
+        term = terms[rng.integers(n)].reshape(-1)
+        term[rng.integers(term.size)] = v
+    kept = [term.copy() for term in terms]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_bits(basis._sum_terms(terms), _stacked_sum(kept))
+    for term, copy in zip(terms, kept):
+        _assert_same_bits(term, copy)       # no term is summed into in place
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+def test_sum_terms_of_negative_zeros_is_positive_zero(shape):
+    for n in range(1, 41):
+        terms = [np.full(shape, -0.0) for _ in range(n)]
+        _assert_same_bits(basis._sum_terms(terms), _stacked_sum(terms))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("w", np.geomspace(0.1, 650.0, 9))
+def test_stable_one_point_matches_grid_bitwise(m, w):
+    # one-point callers (arc_length or eval_new at one t) get the bits
+    # that a 501-point grid gives at the same t
+    grid = np.linspace(0.0, 1.0, 501)
+    stable = EvalMode.STABLE_LARGE_OMEGA
+    for f, ts in ((basis.curve_basis, grid), (basis.corner_weights, grid[1:-1])):
+        full = f(m, w, ts, stable)
+        for i in list(range(0, ts.size, 20)) + [ts.size - 1]:
+            _assert_same_bits(f(m, w, ts[i], stable), full[i])
+            _assert_same_bits(f(m, w, ts[i:i + 1], stable)[0], full[i])

@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 import subprocess
 import sys
 
@@ -174,7 +176,17 @@ def test_bench_timing_csv(tmp_path):
     assert run_cli(["bench", "--experiment", "timing", "--m", "1",
                     "--curves", "2", "--grid", "21", "--repetitions", "2",
                     "--k-min", "-1", "--k-max", "0", "--out", str(out)]) == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    text = out.read_text().splitlines()
+    env = [l for l in text if l.startswith("# environment ")]
+    assert len(env) == 1
+    fields = dict(f.split("=", 1) for f in env[0].split()[2:])
+    assert fields["numpy"] == np.__version__
+    assert fields["python"] == platform.python_version()
+    assert fields["machine"] == platform.machine()
+    assert fields["cpu_count"] == str(os.cpu_count())
+    assert {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS"} <= fields.keys()
+    lines = [l for l in text if not l.startswith("#")]
     assert lines[0] == "method,omega,median_seconds"
     assert len(lines) == 1 + 2 * 3
 

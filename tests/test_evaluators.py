@@ -143,6 +143,19 @@ def test_new_tiny_t_against_direct(m, t, w):
     assert np.max(np.abs(got - ref)) <= 1e-13
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="eval_new has no small-t path: at m=1 its corner "
+                          "weights go wrong long before they underflow")
+@pytest.mark.parametrize("w, t", [(4.0, 1e-30), (4.0, 1e-50), (40.0, 1e-30),
+                                  (40.0, 1e-50), (300.0, 1e-160)])
+def test_new_small_t_random_polygon_against_direct(rng, w, t):
+    # finite but wrong: tau_1 reaches -1e33 at omega=4, t=1e-50
+    curve = random_curve(rng, 1, w)
+    ref = eval_direct(curve, t)
+    got = eval_new(curve, t)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
 def test_new_reduction_weight_identity(rng):
     # the corner-cut polygon reproduces the curve value through the
     # plain Bernstein basis
