@@ -317,8 +317,10 @@ def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
     omega = _check_omega(omega)
     t = _check_t(t)
     psi = preimage_basis(1, omega, t)
-    v0 = psi[..., 0] ** 2
-    v2 = psi[..., 1] ** 2
+    p0 = psi[..., 0]
+    p1 = psi[..., 1]
+    v0 = p0 * p0
+    v2 = p1 * p1
     v1 = 1.0 - v0 - v2
     if m == 1:
         return np.stack([v0, v1, v2], axis=-1)
@@ -375,10 +377,12 @@ def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
     sht = sh(0.5 * w * t)
     p0 = g0u / g0w
     p5 = g0t / g0w
-    p1 = g1w * math.sinh(0.5 * w) * (shu ** 4 - sh4w * g0u / g0w)
-    p4 = g1w * math.sinh(0.5 * w) * (sht ** 4 - sh4w * g0t / g0w)
-    p2 = g2w * (-16.0 * shu ** 3 * sht + g1w * g0w * shu ** 4 - g1w * sh4w * g0u)
-    p3 = g2w * (-16.0 * sht ** 3 * shu + g1w * g0w * sht ** 4 - g1w * sh4w * g0t)
+    shu3, sht3 = np.power(shu, 3), np.power(sht, 3)
+    shu4, sht4 = np.power(shu, 4), np.power(sht, 4)
+    p1 = g1w * math.sinh(0.5 * w) * (shu4 - sh4w * g0u / g0w)
+    p4 = g1w * math.sinh(0.5 * w) * (sht4 - sh4w * g0t / g0w)
+    p2 = g2w * (-16.0 * shu3 * sht + g1w * g0w * shu4 - g1w * sh4w * g0u)
+    p3 = g2w * (-16.0 * sht3 * shu + g1w * g0w * sht4 - g1w * sh4w * g0t)
     return np.stack([p0, p1, p2, p3, p4, p5], axis=-1)
 
 
@@ -591,7 +595,7 @@ def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
 
     def t3(t):
         a = ((10.0 * t * t - 21.0) * t * t + 11.0)
-        return t ** 3 * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
+        return np.power(t, 3) * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
 
     def t2(t):
         a = (((30.0 * t - 40.0) * t + 23.0) * t - 12.0) * t - 3.0
@@ -607,17 +611,19 @@ def _taylor_m2(w: float, t: np.ndarray) -> np.ndarray:
 
     def t5(t):
         a = (49.0 * t * t - 100.0) * t * t + 51.0
-        return t ** 5 * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
+        return np.power(t, 5) * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
 
     def t4(t):
         a = (((245.0 * t - 196.0) * t - 96.0) * t + 44.0) * t - 1.0
         b = (5.0 * t - 2.0) * t - 1.0
-        return 5.0 * t ** 4 * (1.0 - t) * ((a * W + 840.0 * b) * W + 35280.0) / 35280.0
+        return (5.0 * np.power(t, 4) * (1.0 - t)
+                * ((a * W + 840.0 * b) * W + 35280.0) / 35280.0)
 
     def t3(t):
         a = (((245.0 * t - 392.0) * t + 253.0) * t - 82.0) * t + 3.0
         b = (10.0 * t - 8.0) * t + 3.0
-        return (10.0 * t ** 3 * (1.0 - t) ** 2
+        u = 1.0 - t
+        return (10.0 * np.power(t, 3) * (u * u)
                 * ((a * W + 420.0 * b) * W + 35280.0) / 35280.0)
 
     u = 1.0 - t
@@ -665,17 +671,21 @@ def curve_basis(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> np.n
 def _tau_from_curve_basis(m: int, t: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Corner weights from curve-basis values via the defining ratios."""
     u = 1.0 - t
+    u2 = u * u
+    t2 = t * t
     if m == 1:
-        tau0 = p[..., 0] / u ** 2
-        tau1 = (p[..., 0] + p[..., 1] - u ** 2) / (2.0 * t * u)
-        tau2 = 1.0 - p[..., 3] / t ** 2
+        tau0 = p[..., 0] / u2
+        tau1 = (p[..., 0] + p[..., 1] - u2) / (2.0 * t * u)
+        tau2 = 1.0 - p[..., 3] / t2
         return np.stack([tau0, tau1, tau2], axis=-1)
-    tau0 = p[..., 0] / u ** 4
-    tau1 = (p[..., 0] + p[..., 1] - u ** 4) / (4.0 * t * u ** 3)
-    tau2 = ((p[..., 0] + p[..., 1] + p[..., 2] - u ** 4 - 4.0 * t * u ** 3)
-            / (6.0 * t ** 2 * u ** 2))
-    tau3 = 1.0 - (p[..., 4] + p[..., 5] - t ** 4) / (4.0 * t ** 3 * u)
-    tau4 = 1.0 - p[..., 5] / t ** 4
+    u3, u4 = np.power(u, 3), np.power(u, 4)
+    t3, t4 = np.power(t, 3), np.power(t, 4)
+    tau0 = p[..., 0] / u4
+    tau1 = (p[..., 0] + p[..., 1] - u4) / (4.0 * t * u3)
+    tau2 = ((p[..., 0] + p[..., 1] + p[..., 2] - u4 - 4.0 * t * u3)
+            / (6.0 * t2 * u2))
+    tau3 = 1.0 - (p[..., 4] + p[..., 5] - t4) / (4.0 * t3 * u)
+    tau4 = 1.0 - p[..., 5] / t4
     return np.stack([tau0, tau1, tau2, tau3, tau4], axis=-1)
 
 

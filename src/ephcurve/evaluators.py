@@ -130,9 +130,11 @@ def _point_columns(curve: EphCurve | CurveBatch, t):
 
     The corner-cutting evaluators keep points as lead + (dim, t), with
     lead = (N,) for a batch and () for one curve, so every product runs
-    along t."""
+    along t.  A 0-d t stays 0-d, so every per-t quantity is a numpy
+    scalar and the points keep their length-1 t axis."""
     t = basis._check_t(t)
-    return t.shape, t.reshape(-1), curve.control_points.swapaxes(-1, -2)[..., None]
+    tv = t if t.ndim == 0 else t.reshape(-1)
+    return t.shape, tv, curve.control_points.swapaxes(-1, -2)[..., None]
 
 
 def _point_rows(q: np.ndarray, shape: tuple) -> np.ndarray:
@@ -171,7 +173,7 @@ def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
     shape, tv, cp = _point_columns(curve, t)
     b = basis.curve_basis(curve.m, curve.omega, tv, mode)
     s = np.cumsum(b, axis=-1)
-    q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + tv.shape).copy()
+    q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (tv.size,)).copy()
     for k in range(1, 2 * curve.m + 2):
         with np.errstate(divide="ignore", invalid="ignore"):
             h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
@@ -196,6 +198,21 @@ def _bernstein_wc(r1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     return q
 
 
+def _corner_cut(curve: EphCurve | CurveBatch, cp: np.ndarray, t: np.ndarray,
+                mirror: bool, mode: EvalMode) -> np.ndarray:
+    """Points lead + (dim, t) at parameters ``t`` all on one side of 0.5."""
+    tau = basis.corner_weights(curve.m, curve.omega, t, mode)
+    # (2m+1, t) with t contiguous, so r1 and the recursion run along
+    # contiguous t; a 0-d t gives the length-1 t axis of the points
+    tau = np.ascontiguousarray(tau.T) if t.ndim else tau.reshape(-1, 1)
+    r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
+    r1 += cp[..., 1:, :]
+    s, u = t, 1.0 - t
+    if mirror:                          # the reversed polygon at 1 - t
+        r1, s, u = r1[..., ::-1, :], u, s
+    return _bernstein_wc(r1, u / s)
+
+
 def eval_new(curve: EphCurve | CurveBatch, t,
              mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Corner-cut onto a Bernstein polygon, then the polynomial recursion.
@@ -203,32 +220,28 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     The corner weights are undefined at t = 0 and t = 1, where the value
     is the end control point.  Points below and above t = 0.5 take their
     own corner weights and the two directions of the recursion (see
-    ``_bernstein_wc``).  Near t = 0 the corner weights underflow (see
-    ``corner_weights``): the result is NaN from about t = 1e-161 down for
-    m=1 and from about t = 1e-81 for m=2 (measured at omega from 1e-3 to
-    300), where ``eval_direct`` stays finite.  Before the NaN, m=1 goes
-    wrong: against ``eval_direct``, with a random polygon in [0, 1]^3,
-    the error is 3e-4 (omega = 4) and 9e-7 (omega = 40) at t = 1e-30,
-    and O(1), 0.4, by t = 1e-50 at both and by t = 1e-160 at
-    omega = 300.
+    ``_bernstein_wc``).  When every point lies strictly inside (0, 1) on
+    one side of 0.5, as a single interior t always does, the points are
+    cut as given, with one ``corner_weights`` call and no gather or
+    scatter by branch; a single t stays 0-d throughout.  Near t = 0 the
+    corner weights underflow (see ``corner_weights``): the result is NaN
+    from about t = 1e-161 down for m=1 and from about t = 1e-81 for m=2
+    (measured at omega from 1e-3 to 300), where ``eval_direct`` stays
+    finite.  Before the NaN, m=1 goes wrong: against ``eval_direct``,
+    with a random polygon in [0, 1]^3, the error is 3e-4 (omega = 4) and
+    9e-7 (omega = 40) at t = 1e-30, and O(1), 0.4, by t = 1e-50 at both
+    and by t = 1e-160 at omega = 300.
     """
     shape, tv, cp = _point_columns(curve, t)
+    below = (tv > 0.0) & (tv < 0.5)
+    above = (tv >= 0.5) & (tv < 1.0)
+    if below.all() or above.all():      # one side only: no gather, no scatter
+        return _point_rows(_corner_cut(curve, cp, tv, below.all(), mode), shape)
     # end control points at the ends; every other point is overwritten
     out = np.where(tv == 0.0, cp[..., 0, :], cp[..., -1, :])
-    for sel, mirror in (((tv > 0.0) & (tv < 0.5), True),
-                        ((tv >= 0.5) & (tv < 1.0), False)):
+    for sel, mirror in ((below, True), (above, False)):
         if sel.any():
-            ti = tv[sel]
-            # (2m+1, t) with t contiguous, so r1 and the recursion run
-            # along contiguous t
-            tau = np.ascontiguousarray(
-                basis.corner_weights(curve.m, curve.omega, ti, mode).T)
-            r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
-            r1 += cp[..., 1:, :]
-            si, ui = ti, 1.0 - ti
-            if mirror:                  # the reversed polygon at 1 - t
-                r1, si, ui = r1[..., ::-1, :], ui, si
-            out[..., sel] = _bernstein_wc(r1, ui / si)
+            out[..., sel] = _corner_cut(curve, cp, tv[sel], mirror, mode)
     return _point_rows(out, shape)
 
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import rel_inf
+from conftest import assert_same_bits, rel_inf
 from ephcurve import basis
 from ephcurve.basis import EvalMode
+from ephcurve.curve import (Preimage, arc_length, arc_length_coeffs,
+                           parametric_speed, parametric_speed_coeffs)
 
 GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -132,16 +134,6 @@ def _stacked_sum(terms):
     return np.sum(np.stack(terms, axis=-1), axis=-1)
 
 
-def _assert_same_bits(got, ref):
-    assert np.shape(got) == np.shape(ref)
-    assert np.array_equal(got, ref, equal_nan=True)
-    # A NaN's sign is not compared: where NaNs of both signs meet, numpy's
-    # scalar and short-array + keep one operand's NaN and np.sum the
-    # other's, so no rewrite of the order can pin it.
-    keep = ~np.isnan(ref)
-    assert np.array_equal(np.signbit(got)[keep], np.signbit(ref)[keep])
-
-
 @pytest.mark.parametrize("shape", SUM_SHAPES)
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
@@ -162,27 +154,53 @@ def test_sum_terms_is_numpys_stacked_sum(shape, n, seed, exponents, specials):
         term[rng.integers(term.size)] = v
     kept = [term.copy() for term in terms]
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_bits(basis._sum_terms(terms), _stacked_sum(kept))
+        assert_same_bits(basis._sum_terms(terms), _stacked_sum(kept))
     for term, copy in zip(terms, kept):
-        _assert_same_bits(term, copy)       # no term is summed into in place
+        assert_same_bits(term, copy)        # no term is summed into in place
 
 
 @pytest.mark.parametrize("shape", SUM_SHAPES)
 def test_sum_terms_of_negative_zeros_is_positive_zero(shape):
     for n in range(1, 41):
         terms = [np.full(shape, -0.0) for _ in range(n)]
-        _assert_same_bits(basis._sum_terms(terms), _stacked_sum(terms))
+        assert_same_bits(basis._sum_terms(terms), _stacked_sum(terms))
+
+
+def _check_one_point(f, ts, full, coeffs=None):
+    """f at ts[i], 0-d and (1,), against row i of its grid values ``full``
+    (contracted with ``coeffs`` when given)."""
+    for i in list(range(0, ts.size, 20)) + [ts.size - 1]:
+        for at in (i, slice(i, i + 1)):
+            assert_same_bits(f(ts[at]), full[at] if coeffs is None else full[at] @ coeffs)
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("w", np.geomspace(0.1, 650.0, 9))
 def test_stable_one_point_matches_grid_bitwise(m, w):
-    # one-point callers (arc_length or eval_new at one t) get the bits
-    # that a 501-point grid gives at the same t
+    # One-point callers (arc_length, parametric_speed or an evaluator at
+    # one t) get the bits that a 501-point grid gives at the same t, in
+    # every mode: a 0-d t runs on numpy scalars, where a t-dependent **
+    # would reach libm's pow instead of numpy's loop.  The contraction
+    # with the speed and length coefficients is BLAS's, whose rounding of
+    # a row depends on how many rows it gets, so their reference is the
+    # grid's basis row contracted alone.
     grid = np.linspace(0.0, 1.0, 501)
-    stable = EvalMode.STABLE_LARGE_OMEGA
-    for f, ts in ((basis.curve_basis, grid), (basis.corner_weights, grid[1:-1])):
-        full = f(m, w, ts, stable)
-        for i in list(range(0, ts.size, 20)) + [ts.size - 1]:
-            _assert_same_bits(f(m, w, ts[i], stable), full[i])
-            _assert_same_bits(f(m, w, ts[i:i + 1], stable)[0], full[i])
+    inner = grid[1:-1]
+    coeffs = np.random.default_rng(m).uniform(-1.0, 1.0, (m + 1, 4))
+    pre = Preimage(m=m, omega=w, coeffs=tuple(coeffs))
+    modes = [mode for mode in EvalMode
+             if mode is not EvalMode.NAIVE or w <= basis.NAIVE_OMEGA_LIMIT[m]]
+    with np.errstate(all="ignore"):     # the series far outside their band
+        _check_one_point(lambda t: basis.preimage_basis(m, w, t), grid,
+                         basis.preimage_basis(m, w, grid))
+        h = basis.hodograph_basis(m, w, grid)
+        _check_one_point(lambda t: basis.hodograph_basis(m, w, t), grid, h)
+        _check_one_point(lambda t: parametric_speed(pre, t), grid, h,
+                         parametric_speed_coeffs(pre))
+        for mode in modes:
+            b = basis.curve_basis(m, w, grid, mode)
+            _check_one_point(lambda t: basis.curve_basis(m, w, t, mode), grid, b)
+            _check_one_point(lambda t: arc_length(pre, t, mode), grid, b,
+                             arc_length_coeffs(pre))
+            _check_one_point(lambda t: basis.corner_weights(m, w, t, mode), inner,
+                             basis.corner_weights(m, w, inner, mode))

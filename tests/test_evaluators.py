@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import rel_inf
+from conftest import assert_same_bits, rel_inf
 from ephcurve import basis
 from ephcurve.basis import EvalMode
 from ephcurve.curve import CurveBatch, EphCurve, eval_direct
@@ -218,6 +218,77 @@ def test_batch_matches_per_curve_bitwise(rng, d, m):
                         assert got.shape == (n_curves,) + np.shape(t) + (d,)
                         for g, r in zip(got, ref):
                             assert np.array_equal(g, r, equal_nan=True), (w, t, method, mode)
+
+
+# t forms that name one point: the first three are 0-d, the rest keep
+# their shape in the output
+ONE_POINT_FORMS = (float, np.float64, np.asarray,
+                   lambda t: np.array([t]), lambda t: np.array([[t]]))
+ONE_POINT_TS = (0.0, 0.013, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.77, 0.9,
+                1.0 - 1e-16, 1.0)
+# grids wholly on one side of 0.5, which eval_new cuts without a gather
+ONE_SIDE_GRIDS = (np.linspace(0.01, 0.49, 7), np.linspace(0.5, 0.97, 7))
+
+
+@pytest.mark.parametrize("mode", list(EvalMode))
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_point_matches_grid_bitwise(rng, m, mode):
+    # one point, and a grid on one side of 0.5, give the bits of the same
+    # t inside a grid that crosses 0.5; eval_direct contracts through
+    # BLAS, whose rounding of a row depends on how many rows it gets, so
+    # its reference is the grid's basis rows contracted alone
+    grid = np.concatenate([ONE_POINT_TS, np.linspace(0.0, 1.0, 41)]
+                          + list(ONE_SIDE_GRIDS))
+    for w in (0.05, 0.7, 4.0, 150.0):
+        pts = rng.uniform(-1, 1, (3, 2 * m + 2, 3))
+        for curve in (EphCurve(m=m, omega=w, dim=3, control_points=pts[0]),
+                      CurveBatch(m=m, omega=w, dim=3, control_points=pts)):
+            lead = curve.control_points.shape[:-2]
+            with np.errstate(all="ignore"):
+                rows = basis.curve_basis(m, w, grid, mode)
+                for method in EvalMethod:
+                    full = evaluate(curve, grid, method, mode)
+
+                    def ref(i):
+                        if method is EvalMethod.DIRECT:
+                            return rows[i] @ curve.control_points
+                        return full[..., i, :]
+
+                    for i, t in enumerate(ONE_POINT_TS):
+                        for form in ONE_POINT_FORMS:
+                            got = evaluate(curve, form(t), method, mode)
+                            assert got.shape == lead + np.shape(form(t)) + (3,)
+                            assert_same_bits(got.reshape(lead + (3,)), ref(i))
+                    start = len(ONE_POINT_TS) + 41
+                    for ts in ONE_SIDE_GRIDS:
+                        at = slice(start, start + ts.size)
+                        assert_same_bits(evaluate(curve, ts, method, mode), ref(at))
+                        start += ts.size
+
+
+def test_new_keeps_one_point_0d(rng, monkeypatch):
+    # a single t reaches the corner weights 0-d; a grid on one side of 0.5
+    # takes one call, a grid across it one per side
+    seen = []
+    corner_weights = basis.corner_weights
+
+    def recorder(m, omega, t, mode=EvalMode.AUTO):
+        seen.append(np.shape(t))
+        return corner_weights(m, omega, t, mode)
+
+    monkeypatch.setattr(basis, "corner_weights", recorder)
+    for m in (1, 2):
+        curve = random_curve(rng, m, 4.0)
+        for t in (0.3, np.float64(0.5), np.array(0.9)):
+            seen.clear()
+            eval_new(curve, t)
+            assert seen == [()]
+        for t, calls in ((np.array([0.3]), [(1,)]), (np.linspace(0.5, 0.9, 8), [(8,)]),
+                         (np.linspace(0.0, 1.0, 11), [(4,), (5,)]),
+                         (0.0, []), (1.0, [])):
+            seen.clear()
+            eval_new(curve, t)
+            assert seen == calls
 
 
 def test_evaluate_dispatch(rng):
