@@ -25,6 +25,7 @@ mode with the smallest oracle error from one measured table of bands.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,14 +109,29 @@ def _check_omega(omega: float) -> float:
 
 
 def _check_t(t, open_interval: bool = False) -> np.ndarray:
-    # one all-inside reduction, which NaN fails
+    # chained comparisons for one point, one all-inside reduction for an
+    # array; NaN fails both
     t = np.asarray(t, dtype=float)
-    if open_interval:
-        if not np.all((t > 0.0) & (t < 1.0)):
-            raise DomainError("t must lie strictly inside (0, 1)")
-    elif not np.all((t >= 0.0) & (t <= 1.0)):
-        raise DomainError("t must lie in [0, 1]")
+    if t.ndim == 0:
+        x = float(t)
+        inside = 0.0 < x < 1.0 if open_interval else 0.0 <= x <= 1.0
+    elif open_interval:
+        inside = np.all((t > 0.0) & (t < 1.0))
+    else:
+        inside = np.all((t >= 0.0) & (t <= 1.0))
+    if not inside:
+        raise DomainError("t must lie strictly inside (0, 1)" if open_interval
+                          else "t must lie in [0, 1]")
     return t
+
+
+def _stack(cols) -> np.ndarray:
+    """Per-t columns as rows along a new last axis.  Columns of one point
+    are numpy scalars, which ``np.array`` packs at a tenth of the cost of
+    ``np.stack``; the result is a fresh, writeable array either way."""
+    if np.ndim(cols[0]) == 0:
+        return np.array(cols)
+    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +157,10 @@ _C_U = [(3.0 ** (2 * k + 1) + 9.0) / (4.0 ** (k + 1) * math.factorial(2 * k + 1)
         - 3.0 / (4.0 ** k * math.factorial(2 * k)) for k in range(2, _KMAX)]
 
 _SERIES_OMEGA = 1.0   # below this, use the series for the cancelling numerators
+
+# (m, omega) records kept per order: a sweep over more omegas evicts the
+# least recently used, so the cache's memory stays bounded
+_CONSTANTS_CACHE_SIZE = 256
 
 
 def _odd_series(x, coef, lead_power: int):
@@ -192,6 +212,7 @@ class BasisConstantsM2:
     q4_q0_over_q1: float
 
 
+@functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _constants_m1(w: float) -> BasisConstantsM1:
     x = 0.5 * w
     ex = math.exp(-x)
@@ -211,6 +232,7 @@ def _constants_m1(w: float) -> BasisConstantsM1:
     return BasisConstantsM1(w, c1, c2, c3, c3_over_c1)
 
 
+@functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 def _constants_m2(w: float) -> BasisConstantsM2:
     ew = math.exp(-w)
     ew2 = ew * ew
@@ -302,7 +324,7 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
     den = -math.expm1(-w)
     p0 = np.exp(-0.5 * w * t) * (-np.expm1(-w * (1.0 - t))) / den
     p1 = np.exp(-0.5 * w * (1.0 - t)) * (-np.expm1(-w * t)) / den
-    return _exact_ends(t, np.stack([p0, p1], axis=-1))
+    return _exact_ends(t, _stack([p0, p1]))
 
 
 def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
@@ -323,19 +345,19 @@ def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
     v2 = p1 * p1
     v1 = 1.0 - v0 - v2
     if m == 1:
-        return np.stack([v0, v1, v2], axis=-1)
+        return _stack([v0, v1, v2])
     return _hodograph_products(v0, v1, v2)
 
 
 def _hodograph_products(v0, v1, v2) -> np.ndarray:
     """The m=2 hodograph basis from the m=1 functions v0, v1, v2."""
-    return np.stack([
+    return _stack([
         v0 * v0,
         2.0 * v0 * v1,
         v1 * v1 + 2.0 * v0 * v2,
         2.0 * v1 * v2,
         v2 * v2,
-    ], axis=-1)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +375,7 @@ def _curve_basis_naive_m1(w: float, t: np.ndarray) -> np.ndarray:
     p3 = (sh(w * t) - w * t) / den_end
     p1 = (-w * t - w * u * chw + w * ch(w * u) + shw - sh(w * t) - sh(w * u)) / den_mid
     p2 = (-w * u - w * t * chw + w * ch(w * t) + shw - sh(w * u) - sh(w * t)) / den_mid
-    return np.stack([p0, p1, p2, p3], axis=-1)
+    return _stack([p0, p1, p2, p3])
 
 
 def _g0_naive(a):
@@ -383,14 +405,13 @@ def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
     p4 = g1w * math.sinh(0.5 * w) * (sht4 - sh4w * g0t / g0w)
     p2 = g2w * (-16.0 * shu3 * sht + g1w * g0w * shu4 - g1w * sh4w * g0u)
     p3 = g2w * (-16.0 * sht3 * shu + g1w * g0w * sht4 - g1w * sh4w * g0t)
-    return np.stack([p0, p1, p2, p3, p4, p5], axis=-1)
+    return _stack([p0, p1, p2, p3, p4, p5])
 
 
 def _stable_end_m1(w: float, t: np.ndarray) -> np.ndarray:
     """Last m=1 curve-basis function; only non-positive exponents."""
     den = math.fsum([math.exp(-2.0 * w), 2.0 * w * math.exp(-w), -1.0])
-    num = _sum_terms([np.exp(-2.0 * w * t), 2.0 * w * t * np.exp(-w * t),
-                      -np.ones_like(t)])
+    num = _sum_terms([np.exp(-2.0 * w * t), 2.0 * w * t * np.exp(-w * t), -1.0])
     return num / den * np.exp(w * (t - 1.0))
 
 
@@ -416,7 +437,7 @@ def _stable_mid_m1(w: float, t: np.ndarray) -> np.ndarray:
         -(iw - 3.0 * t + 2.0) * ew,
         -(iw - 1.0) * ep1,
         -iw * et,
-        (iw - t) * np.ones_like(t),
+        iw - t,
     ])
     den = math.fsum([(2.0 * iw + 1.0) * e3w,
                      -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
@@ -427,16 +448,17 @@ def _stable_mid_m1(w: float, t: np.ndarray) -> np.ndarray:
 
 def _curve_basis_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
     u = 1.0 - t
-    return np.stack([
+    return _stack([
         _stable_end_m1(w, u),
         _stable_mid_m1(w, u),
         _stable_mid_m1(w, t),
         _stable_end_m1(w, t),
-    ], axis=-1)
+    ])
 
 
 def _sum_terms(terms) -> np.ndarray:
-    """Pairwise-summed total of same-shaped term arrays.
+    """Pairwise-summed total of same-shaped term arrays; a term free of t
+    may be a plain float, which adds the same bits as an array of it.
 
     The stable numerators cancel heavily for omega below ~1; pairwise
     summation keeps the roundoff near the per-term rounding floor.
@@ -473,7 +495,7 @@ def _stable_p5_m2(w: float, t: np.ndarray) -> np.ndarray:
     et = np.exp(-w * t)
     et2 = et * et
     num = _sum_terms([et2 * et2, -8.0 * et2 * et, -12.0 * w * t * et2,
-                      8.0 * et, -np.ones_like(t)])
+                      8.0 * et, -1.0])
     return num / den * np.exp(2.0 * w * (t - 1.0))
 
 
@@ -516,7 +538,7 @@ def _stable_p3_m2(w: float, t: np.ndarray) -> np.ndarray:
         -4.0 * (2.0 * iw - 1.0) * ep1,
         iw * et2,
         -4.0 * iw * et,
-        (3.0 * iw - 2.0 * t) * np.ones_like(t),
+        3.0 * iw - 2.0 * t,
     ])
     den = 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
                            (27.0 * iw + 31.0 + 6.0 * w) * e4,
@@ -543,32 +565,32 @@ def _stable_p4_m2(w: float, t: np.ndarray) -> np.ndarray:
     num = _sum_terms([
         2.0 * (et2 * e5),                       # e^{-w(2t+5)}
         3.0 * (1.0 + 2.0 * wt) * (et * e5),     # e^{-w(t+5)}
-        -6.0 * e5 * np.ones_like(t),
+        -6.0 * e5,
         ep1 * e4,                               # e^{w(t-5)}
         -2.0 * (et3 * e4),                      # e^{-w(3t+4)}
         -2.0 * (et2 * e4),                      # e^{-2w(t+2)}
         -3.0 * (9.0 + 10.0 * wt) * (et * e4),   # e^{-w(t+4)}
-        38.0 * e4 * np.ones_like(t),
+        38.0 * e4,
         -7.0 * (ep1 * e3),                      # e^{w(t-4)}
         -(1.0 + 6.0 * w) * (et3 * e3),          # e^{-3w(t+1)}
         24.0 * (1.0 + w) * (et2 * e3),          # e^{-w(2t+3)}
         12.0 * (2.0 + w * (5.0 * t - 3.0)) * (et * e3),
-        -8.0 * (7.0 - 3.0 * w) * e3 * np.ones_like(t),
+        -8.0 * (7.0 - 3.0 * w) * e3,
         3.0 * (3.0 - 2.0 * w) * (ep1 * e2),     # e^{w(t-3)}
         3.0 * (3.0 + 2.0 * w) * (et3 * e2),     # e^{-w(3t+2)}
         -8.0 * (7.0 + 3.0 * w) * (et2 * e2),    # e^{-2w(t+1)}
         12.0 * (2.0 - w * (5.0 * t - 3.0)) * (et * e2),
-        24.0 * (1.0 - w) * e2 * np.ones_like(t),
+        24.0 * (1.0 - w) * e2,
         -(1.0 - 6.0 * w) * (ep1 * ew),          # e^{w(t-2)}
         -7.0 * (et3 * ew),                      # e^{-w(3t+1)}
         38.0 * (et2 * ew),                      # e^{-w(2t+1)}
         -3.0 * (9.0 - 10.0 * wt) * (et * ew),   # e^{-w(t+1)}
-        -2.0 * ew * np.ones_like(t),
+        -2.0 * ew,
         -2.0 * ep1,
         et3,
         -6.0 * et2,
         3.0 * (1.0 - 2.0 * wt) * et,
-        2.0 * np.ones_like(t),
+        2.0,
     ])
     den = math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
                      (79.0 - 156.0 * w - 72.0 * w * w) * e4,
@@ -580,14 +602,14 @@ def _stable_p4_m2(w: float, t: np.ndarray) -> np.ndarray:
 
 def _curve_basis_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     u = 1.0 - t
-    return np.stack([
+    return _stack([
         _stable_p5_m2(w, u),
         _stable_p4_m2(w, u),
         _stable_p3_m2(w, u),
         _stable_p3_m2(w, t),
         _stable_p4_m2(w, t),
         _stable_p5_m2(w, t),
-    ], axis=-1)
+    ])
 
 
 def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
@@ -603,7 +625,7 @@ def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
         return 3.0 * t * t * (1.0 - t) * ((a * W + 420.0 * b) * W + 25200.0) / 25200.0
 
     u = 1.0 - t
-    return np.stack([t3(u), t2(u), t2(t), t3(t)], axis=-1)
+    return _stack([t3(u), t2(u), t2(t), t3(t)])
 
 
 def _taylor_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -627,7 +649,7 @@ def _taylor_m2(w: float, t: np.ndarray) -> np.ndarray:
                 * ((a * W + 420.0 * b) * W + 35280.0) / 35280.0)
 
     u = 1.0 - t
-    return np.stack([t5(u), t4(u), t3(u), t3(t), t4(t), t5(t)], axis=-1)
+    return _stack([t5(u), t4(u), t3(u), t3(t), t4(t), t5(t)])
 
 
 def taylor_curve_basis(m: int, omega: float, t) -> np.ndarray:
@@ -677,7 +699,7 @@ def _tau_from_curve_basis(m: int, t: np.ndarray, p: np.ndarray) -> np.ndarray:
         tau0 = p[..., 0] / u2
         tau1 = (p[..., 0] + p[..., 1] - u2) / (2.0 * t * u)
         tau2 = 1.0 - p[..., 3] / t2
-        return np.stack([tau0, tau1, tau2], axis=-1)
+        return _stack([tau0, tau1, tau2])
     u3, u4 = np.power(u, 3), np.power(u, 4)
     t3, t4 = np.power(t, 3), np.power(t, 4)
     tau0 = p[..., 0] / u4
@@ -686,7 +708,7 @@ def _tau_from_curve_basis(m: int, t: np.ndarray, p: np.ndarray) -> np.ndarray:
             / (6.0 * t2 * u2))
     tau3 = 1.0 - (p[..., 4] + p[..., 5] - t4) / (4.0 * t3 * u)
     tau4 = 1.0 - p[..., 5] / t4
-    return np.stack([tau0, tau1, tau2, tau3, tau4], axis=-1)
+    return _stack([tau0, tau1, tau2, tau3, tau4])
 
 
 def _tau_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
@@ -711,7 +733,7 @@ def _tau_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
     tau1 = n1 / d1
     n2 = (s2 - 1.0) * (t * t) + (2.0 * w * s1) * tu - s1 * E + P
     tau2 = n2 / ((t * t) * den_end)
-    return np.stack([tau0, tau1, tau2], axis=-1)
+    return _stack([tau0, tau1, tau2])
 
 
 def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -770,7 +792,7 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     n4 = p0 - (8.0 * s2) * E + s2 * E2 + (8.0 * s1) * P - D
     tau4 = n4 / (t4 * den_end)
 
-    return np.stack([tau0, tau1, tau2, tau3, tau4], axis=-1)
+    return _stack([tau0, tau1, tau2, tau3, tau4])
 
 
 def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:

@@ -233,11 +233,11 @@ def hodograph(preimage: Preimage, t) -> np.ndarray:
     psi = basis.preimage_basis(preimage.m, preimage.omega, t)
     A = psi @ preimage.coeff_array()          # (..., 4) components w,x,y,z
     w, x, y, z = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
-    return np.stack([
+    return basis._stack([
         w * w + x * x - y * y - z * z,
         2.0 * (x * y + w * z),
         2.0 * (x * z - w * y),
-    ], axis=-1)
+    ])
 
 
 def parametric_speed_coeffs(preimage: Preimage) -> np.ndarray:

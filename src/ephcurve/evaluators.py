@@ -54,7 +54,7 @@ class EvalMethod(enum.Enum):
 def _two_space_basis(omega: float, t: np.ndarray) -> np.ndarray:
     """Normalized B-basis of span{1, sinh(omega t)} on [0, 1]."""
     n1 = np.exp(omega * (t - 1.0)) * np.expm1(-2.0 * omega * t) / math.expm1(-2.0 * omega)
-    return basis._exact_ends(t, np.stack([1.0 - n1, n1], axis=-1))
+    return basis._exact_ends(t, basis._stack([1.0 - n1, n1]))
 
 
 def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
@@ -70,12 +70,12 @@ def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
     e1 = math.exp(-omega)
     e2 = e1 * e1
     beta = (1.0 + e2) / (2.0 * (1.0 + e2) + 2.0 * e1)
-    return np.stack([
+    return basis._stack([
         h[..., 0] + beta * h[..., 1],
         (1.0 - beta) * h[..., 1] + c.q0 * h[..., 2],
         c.q1 * h[..., 2] + h[..., 3],
         h[..., 4],
-    ], axis=-1)
+    ])
 
 
 def _corner_chain(m: int, omega: float, t: np.ndarray,
@@ -191,7 +191,7 @@ def _bernstein_wc(r1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     """
     n = r1.shape[-2] - 1
     q = r1[..., 0, :].copy()
-    h = np.ones_like(ratio)
+    h = 1.0
     for k in range(1, n + 1):
         h = 1.0 / (1.0 + (k / (n + 1.0 - k)) * ratio / h)
         q += h * (r1[..., k, :] - q)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from mpmath import mpf
 
 import oracles
 from conftest import rel_inf
-from ephcurve import basis
+from ephcurve import basis, curve, evaluators
 from ephcurve.basis import EvalMode
 from ephcurve.errors import DomainError, OverflowHazardError
 
@@ -363,8 +364,150 @@ def test_corner_weights_open_interval_only():
 
 
 # ---------------------------------------------------------------------------
+# one point: the scalar t check and the np.array rows
+# ---------------------------------------------------------------------------
+
+_T_FUNCS = {
+    "curve_basis": basis.curve_basis,
+    "corner_weights": basis.corner_weights,
+    "preimage_basis": basis.preimage_basis,
+    "hodograph_basis": basis.hodograph_basis,
+}
+# NaN, both infinities and the nearest doubles outside [0, 1]
+_OUTSIDE = (math.nan, math.inf, -math.inf, -1e-300, float(np.nextafter(1.0, 2.0)))
+
+
+def _scalar_forms(v):
+    return (v, np.float64(v), np.array(v))
+
+
+def _raised(fn, t):
+    with pytest.raises(Exception) as info:
+        fn(t)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(_T_FUNCS))
+@pytest.mark.parametrize("m", [1, 2])
+def test_scalar_t_check_raises_as_the_array_check(name, m):
+    # a 0-d t is checked on the float; it must reject what the (1,) form
+    # rejects, with the same exception and message
+    fn = lambda t: _T_FUNCS[name](m, 2.5, t)  # noqa: E731
+    rejected = _OUTSIDE + ((0.0, 1.0) if name == "corner_weights" else ())
+    for v in rejected:
+        want = _raised(fn, np.array([v]))
+        assert want[0] is DomainError
+        for t in _scalar_forms(v):
+            assert _raised(fn, t) == want, (v, type(t))
+
+
+@pytest.mark.parametrize("name", ["curve_basis", "preimage_basis", "hodograph_basis"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_scalar_t_check_accepts_the_closed_ends(name, m):
+    for v, end in ((-0.0, 0), (0.0, 0), (1.0, -1)):
+        for t in _scalar_forms(v):
+            row = _T_FUNCS[name](m, 2.5, t)
+            assert row[end] == 1.0 and np.sum(row) == 1.0, (v, type(t))
+
+
+def _one_point_rows(m, t):
+    """Every public basis and weight row at one t, with its label."""
+    for w in (0.05, 4.0):
+        for mode in EvalMode:
+            yield ("curve_basis", w, mode), basis.curve_basis(m, w, t, mode)
+            yield ("corner_weights", w, mode), basis.corner_weights(m, w, t, mode)
+        yield ("preimage_basis", w), basis.preimage_basis(m, w, t)
+        yield ("hodograph_basis", w), basis.hodograph_basis(m, w, t)
+        yield ("taylor_curve_basis", w), basis.taylor_curve_basis(m, w, t)
+
+
+def _tick_curve(m, w):
+    coeffs = ((1.0, 0.2, 0.1, 0.3), (0.5, 1.0, 0.2, 0.1), (0.3, 0.1, 1.0, 0.2))
+    pre = curve.Preimage(m=m, omega=w, coeffs=coeffs[:m + 1])
+    return pre, curve.curve_from_preimage(pre, [0.0, 0.0, 0.0])
+
+
+def _tick(pre, ph, t, mode=EvalMode.AUTO):
+    """One controller tick: the point, the speed and the arc length."""
+    evaluators.eval_new(ph, t, mode)
+    curve.parametric_speed(pre, t)
+    curve.arc_length(pre, t, mode)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_point_calls_build_rows_without_stack(monkeypatch, m):
+    # one point packs its rows with np.array and adds plain-float terms:
+    # a recorder over np.stack and np.ones_like sees no call, while a
+    # grid still reaches np.stack through it
+    seen = []
+    for name in ("stack", "ones_like"):
+        def recorder(*args, _name=name, _original=getattr(np, name), **kwargs):
+            seen.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, recorder)
+    ticks = [(_tick_curve(m, w), mode) for w in (0.05, 4.0) for mode in EvalMode]
+    for t in (0.3, np.float64(0.7), np.array(0.45)):
+        for label, _ in _one_point_rows(m, t):
+            assert seen == [], label
+        for (pre, ph), mode in ticks:
+            _tick(pre, ph, t, mode)
+            assert seen == [], mode
+    basis.curve_basis(m, 4.0, np.array([0.3, 0.7]))
+    assert "stack" in seen
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_point_row_is_fresh_writeable_and_contiguous(m):
+    # _exact_ends writes the end rows into the row it is given
+    for label, row in _one_point_rows(m, 0.3):
+        k = 2 * m + 1 if label[0] in ("corner_weights", "hodograph_basis") else \
+            m + 1 if label[0] == "preimage_basis" else 2 * m + 2
+        assert type(row) is np.ndarray and row.shape == (k,), label
+        assert row.flags.writeable and row.flags.c_contiguous, label
+        assert row.flags.owndata, label
+    first = basis.curve_basis(m, 4.0, 0.3)
+    assert not np.shares_memory(first, basis.curve_basis(m, 4.0, 0.3))
+
+
+# ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
+
+_CACHE_OMEGAS = (float(np.nextafter(basis._SERIES_OMEGA, 0.0)), basis._SERIES_OMEGA,
+                 2.0, 300.0, 700.0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_constants_cached_per_m_and_omega(m):
+    cached = basis._constants_m1 if m == 1 else basis._constants_m2
+    assert cached.cache_info().maxsize is not None
+    for w in _CACHE_OMEGAS:
+        c = basis.constants(m, w)
+        assert basis.constants(m, w) is c
+        fresh = cached.__wrapped__(w)
+        for field in dataclasses.fields(c):
+            got, ref = getattr(c, field.name), getattr(fresh, field.name)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (w, field.name)
+        # the neighbouring double is a record of its own
+        w_next = float(np.nextafter(w, 2.0 * w))
+        other = basis.constants(m, w_next)
+        assert other is not c and other.omega == w_next
+    assert basis.constants(2, 700.0).g0 == math.inf
+
+
+def test_ticks_build_constants_once():
+    # 100 ticks at one omega, whose m=2 basis and weights take the closed
+    # forms, build its constants at most once
+    w = 1.3 + 2.0 ** -30
+    pre, ph = _tick_curve(2, w)
+    before = basis._constants_m2.cache_info()
+    for k in range(100):
+        _tick(pre, ph, (k + 0.5) / 100)
+    after = basis._constants_m2.cache_info()
+    assert after.misses - before.misses <= 1
+    assert after.hits - before.hits >= 300
+
+
 
 def test_constants_frozen_values():
     c = basis.constants(1, 1.0)
