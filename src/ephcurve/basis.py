@@ -281,7 +281,9 @@ def constants(m: int, omega: float):
 
     Cancelling numerators switch to their series below omega = 1, so
     values stay accurate down to omega ~ 1e-8 (the polynomial limits
-    1/3, 2, 1/5, 1/15 are recovered smoothly).
+    1/3, 2, 1/5, 1/15 are recovered smoothly).  The frozen record is
+    cached per (m, omega), for the most recent 256 omegas of each order,
+    so repeated calls return the same object.
     """
     _check_m(m)
     omega = _check_omega(omega)

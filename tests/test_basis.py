@@ -460,8 +460,8 @@ def test_one_point_calls_build_rows_without_stack(monkeypatch, m):
 def test_one_point_row_is_fresh_writeable_and_contiguous(m):
     # _exact_ends writes the end rows into the row it is given
     for label, row in _one_point_rows(m, 0.3):
-        k = 2 * m + 1 if label[0] in ("corner_weights", "hodograph_basis") else \
-            m + 1 if label[0] == "preimage_basis" else 2 * m + 2
+        k = {"corner_weights": 2 * m + 1, "hodograph_basis": 2 * m + 1,
+             "preimage_basis": m + 1}.get(label[0], 2 * m + 2)
         assert type(row) is np.ndarray and row.shape == (k,), label
         assert row.flags.writeable and row.flags.c_contiguous, label
         assert row.flags.owndata, label
