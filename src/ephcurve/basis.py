@@ -108,13 +108,16 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def _check_t(t, open_interval: bool = False) -> np.ndarray:
-    # chained comparisons for one point, one all-inside reduction for an
-    # array; NaN fails both
+def _check_t(t, open_interval: bool = False) -> np.ndarray | np.float64:
+    """t as a float array, or as an ``np.float64`` when it is one point
+    (a Python float, a numpy scalar or a 0-d array): numpy operations on
+    a numpy scalar cost a small fraction of the same operations on a 0-d
+    array.  Chained comparisons check one point, one all-inside reduction
+    an array; NaN fails both."""
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
-        x = float(t)
-        inside = 0.0 < x < 1.0 if open_interval else 0.0 <= x <= 1.0
+        t = t[()]
+        inside = 0.0 < t < 1.0 if open_interval else 0.0 <= t <= 1.0
     elif open_interval:
         inside = np.all((t > 0.0) & (t < 1.0))
     else:
@@ -164,13 +167,15 @@ _CONSTANTS_CACHE_SIZE = 256
 
 
 def _odd_series(x, coef, lead_power: int):
-    """sum(coef[k] * x**(lead_power + 2k)) via Horner in x**2; ``x`` is a
-    float or an array."""
+    """sum(coef[k] * x**(lead_power + 2k)) via Horner in x**2.  A Python
+    float ``x`` (the constants) takes Python's ``**``; a numpy scalar or
+    array takes ``np.power``, since ``np.float64 ** k`` goes to libm's
+    ``pow`` and rounds differently from the array loop."""
     x2 = x * x
     acc = 0.0
     for c in reversed(coef):
         acc = acc * x2 + c
-    return acc * x ** lead_power
+    return acc * (x ** lead_power if type(x) is float else np.power(x, lead_power))
 
 
 @dataclass(frozen=True)
@@ -382,8 +387,12 @@ def _curve_basis_naive_m1(w: float, t: np.ndarray) -> np.ndarray:
 
 def _g0_naive(a):
     """3a + sinh(a)(cosh(a) - 4); series below |a| = 1 (the closed form
-    cancels to a**5/10 there and would cost eight digits at a ~ 0.05)."""
-    a = np.asarray(a, dtype=float)
+    cancels to a**5/10 there and would cost eight digits at a ~ 0.05).
+    A numpy scalar takes one branch, an array both and picks per point."""
+    if a.ndim == 0:
+        if abs(a) < _SERIES_OMEGA:
+            return _odd_series(a, _C_G0, 5)
+        return 3.0 * a + np.sinh(a) * (np.cosh(a) - 4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         literal = 3.0 * a + np.sinh(a) * (np.cosh(a) - 4.0)
     return np.where(np.abs(a) < _SERIES_OMEGA, _odd_series(a, _C_G0, 5), literal)

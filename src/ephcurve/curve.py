@@ -10,6 +10,7 @@ over the hodograph and curve bases respectively.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -130,6 +131,10 @@ class Preimage:
     numerical proxy.  An all-zero preimage is accepted (it yields the
     degenerate point curve with zero speed and length); non-finite
     coefficients raise ``ValueError``.
+
+    The speed coefficients sigma and the arc-length coefficients s are
+    derived once per preimage, on first use, and kept read-only; fields,
+    equality, hash and ``to_dict`` do not see them.
     """
 
     m: int
@@ -147,6 +152,18 @@ class Preimage:
             raise ValueError("preimage coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
         object.__setattr__(self, "omega", omega)
+
+    @functools.cached_property
+    def _speed_length(self) -> tuple:
+        """(sigma, s), read-only: the speed coefficients over the hodograph
+        basis and the cumulative arc-length coefficients over the curve
+        basis."""
+        c = basis.constants(self.m, self.omega)
+        sigma = np.array(_hodograph_coeffs(self.m, c, self.coeffs, dot))
+        s = np.concatenate([[0.0], np.cumsum(_integral_weights(self.m, c) * sigma)])
+        sigma.setflags(write=False)
+        s.setflags(write=False)
+        return sigma, s
 
     def coeff_array(self) -> np.ndarray:
         return np.array([c.components() for c in self.coeffs], dtype=float)
@@ -245,33 +262,31 @@ def parametric_speed_coeffs(preimage: Preimage) -> np.ndarray:
 
     Returns a float array of shape (2m+1,), one real per hodograph-basis
     function: the quaternionic cross terms reduce to 4-component dot
-    products, so all coefficients are plain reals.
+    products, so all coefficients are plain reals.  The array is a fresh
+    copy of the preimage's own.
     """
-    c = basis.constants(preimage.m, preimage.omega)
-    return np.array(_hodograph_coeffs(preimage.m, c, preimage.coeffs, dot))
+    return preimage._speed_length[0].copy()
 
 
 def arc_length_coeffs(preimage: Preimage) -> np.ndarray:
     """Cumulative arc-length coefficients s over the curve basis.
 
     Returns a float array of shape (2m+2,), one real per curve-basis
-    function, with s[0] = 0 and s[-1] the total length.
+    function, with s[0] = 0 and s[-1] the total length.  The array is a
+    fresh copy of the preimage's own.
     """
-    m = preimage.m
-    c = basis.constants(m, preimage.omega)
-    sigma = np.array(_hodograph_coeffs(m, c, preimage.coeffs, dot))
-    return np.concatenate([[0.0], np.cumsum(_integral_weights(m, c) * sigma)])
+    return preimage._speed_length[1].copy()
 
 
 def parametric_speed(preimage: Preimage, t) -> np.ndarray:
     """|r'(t)| evaluated from the closed-form speed coefficients."""
-    sigma = parametric_speed_coeffs(preimage)
+    sigma = preimage._speed_length[0]
     return basis.hodograph_basis(preimage.m, preimage.omega, t) @ sigma
 
 
 def arc_length(preimage: Preimage, t, mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Arc length from 0 to t evaluated from the closed-form coefficients."""
-    s = arc_length_coeffs(preimage)
+    s = preimage._speed_length[1]
     return basis.curve_basis(preimage.m, preimage.omega, t, mode) @ s
 
 

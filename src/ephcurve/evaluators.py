@@ -109,19 +109,19 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
     """
     chain = _corner_chain(m, omega, t, mode)
     weights = []
-    for p in range(2 * m + 1):
-        bp = chain[p]
-        bp1 = chain[p + 1]
-        lam = np.empty((p + 1,) + t.shape)
-        carried = np.zeros_like(t)            # lam[j-1] * B_{p,j-1}
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in range(2 * m + 1):
+            bp = chain[p]
+            bp1 = chain[p + 1]
+            lam = np.empty((p + 1,) + t.shape)
+            carried = np.zeros_like(t)            # lam[j-1] * B_{p,j-1}
             for j in range(p + 1):
                 raw = 1.0 - (bp1[..., j] - carried) / bp[..., j]
                 raw = np.where(bp[..., j] > 0.0, raw, 0.0)
                 np.clip(raw, 0.0, 1.0, out=raw)
                 lam[j] = raw
                 carried = raw * bp[..., j]
-        weights.append(lam)
+            weights.append(lam)
     return weights
 
 
@@ -130,8 +130,8 @@ def _point_columns(curve: EphCurve | CurveBatch, t):
 
     The corner-cutting evaluators keep points as lead + (dim, t), with
     lead = (N,) for a batch and () for one curve, so every product runs
-    along t.  A 0-d t stays 0-d, so every per-t quantity is a numpy
-    scalar and the points keep their length-1 t axis."""
+    along t.  A single t stays an ``np.float64``, so every per-t quantity
+    is a numpy scalar and the points keep their length-1 t axis."""
     t = basis._check_t(t)
     tv = t if t.ndim == 0 else t.reshape(-1)
     return t.shape, tv, curve.control_points.swapaxes(-1, -2)[..., None]
@@ -174,11 +174,11 @@ def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
     b = basis.curve_basis(curve.m, curve.omega, tv, mode)
     s = np.cumsum(b, axis=-1)
     q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (tv.size,)).copy()
-    for k in range(1, 2 * curve.m + 2):
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, 2 * curve.m + 2):
             h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
-        q *= 1.0 - h
-        q += h * cp[..., k, :]
+            q *= 1.0 - h
+            q += h * cp[..., k, :]
     return _point_rows(q, shape)
 
 

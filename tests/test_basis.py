@@ -410,6 +410,19 @@ def test_scalar_t_check_accepts_the_closed_ends(name, m):
             assert row[end] == 1.0 and np.sum(row) == 1.0, (v, type(t))
 
 
+def test_check_t_gives_one_point_as_float64():
+    # one point becomes a numpy scalar, so the kernels run scalar math on
+    # it; an array passes through as the same object
+    for t in _scalar_forms(0.3):
+        for open_interval in (False, True):
+            got = basis._check_t(t, open_interval)
+            assert type(got) is np.float64 and got == 0.3, (type(t), open_interval)
+    for shape in ((1,), (5,), (2, 3)):
+        t = np.full(shape, 0.3)
+        assert basis._check_t(t) is t
+        assert basis._check_t(t, open_interval=True) is t
+
+
 def _one_point_rows(m, t):
     """Every public basis and weight row at one t, with its label."""
     for w in (0.05, 4.0):
@@ -436,11 +449,12 @@ def _tick(pre, ph, t, mode=EvalMode.AUTO):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_one_point_calls_build_rows_without_stack(monkeypatch, m):
-    # one point packs its rows with np.array and adds plain-float terms:
-    # a recorder over np.stack and np.ones_like sees no call, while a
-    # grid still reaches np.stack through it
+    # one point packs its rows with np.array, adds plain-float terms and
+    # takes one branch of the naive m=2 forms: a recorder over np.stack,
+    # np.ones_like and np.where sees no call, while a grid still reaches
+    # np.stack, and np.where in the naive m=2 basis
     seen = []
-    for name in ("stack", "ones_like"):
+    for name in ("stack", "ones_like", "where"):
         def recorder(*args, _name=name, _original=getattr(np, name), **kwargs):
             seen.append(_name)
             return _original(*args, **kwargs)
@@ -454,6 +468,8 @@ def test_one_point_calls_build_rows_without_stack(monkeypatch, m):
             assert seen == [], mode
     basis.curve_basis(m, 4.0, np.array([0.3, 0.7]))
     assert "stack" in seen
+    basis.curve_basis(2, 0.5, np.array([0.3, 0.7]), EvalMode.NAIVE)
+    assert "where" in seen
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -467,6 +483,28 @@ def test_one_point_row_is_fresh_writeable_and_contiguous(m):
         assert row.flags.owndata, label
     first = basis.curve_basis(m, 4.0, 0.3)
     assert not np.shares_memory(first, basis.curve_basis(m, 4.0, 0.3))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_point_return_types(m):
+    # a numpy-scalar t inside the kernels changes no return type: rows and
+    # points are arrays, the speed and the arc length numpy scalars
+    for w in (0.05, 1.3, 4.0):
+        pre, ph = _tick_curve(m, w)
+        batch = curve.CurveBatch(m=m, omega=w, dim=3,
+                                 control_points=np.stack([ph.control_points] * 2))
+        for t in _scalar_forms(0.3):
+            for method in evaluators.EvalMethod:
+                for mode in EvalMode:
+                    p = evaluators.evaluate(ph, t, method, mode)
+                    assert type(p) is np.ndarray and p.shape == (3,), (method, mode)
+                    pb = evaluators.evaluate(batch, t, method, mode)
+                    assert type(pb) is np.ndarray and pb.shape == (2, 3), (method, mode)
+            for mode in EvalMode:
+                assert type(curve.arc_length(pre, t, mode)) is np.float64, mode
+            assert type(curve.parametric_speed(pre, t)) is np.float64
+            assert curve.hodograph(pre, t).shape == (3,)
+            assert curve.derivative(ph, t).shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +535,9 @@ def test_constants_cached_per_m_and_omega(m):
 
 def test_ticks_build_constants_once():
     # 100 ticks at one omega, whose m=2 basis and weights take the closed
-    # forms, build its constants at most once
+    # forms, build its constants at most once; each tick reads them twice,
+    # for tau and for the arc-length basis (the preimage derives its speed
+    # and arc-length coefficients once)
     w = 1.3 + 2.0 ** -30
     pre, ph = _tick_curve(2, w)
     before = basis._constants_m2.cache_info()
@@ -505,7 +545,7 @@ def test_ticks_build_constants_once():
         _tick(pre, ph, (k + 0.5) / 100)
     after = basis._constants_m2.cache_info()
     assert after.misses - before.misses <= 1
-    assert after.hits - before.hits >= 300
+    assert after.hits - before.hits >= 200
 
 
 

@@ -250,6 +250,73 @@ def test_speed_coeffs_examples():
                                       rel=1e-14)
 
 
+def _coeffs_from_scratch(pre):
+    """sigma and s derived as the public functions first derived them."""
+    from ephcurve.curve import _hodograph_coeffs, _integral_weights
+    from ephcurve.quat import dot
+    c = basis.constants(pre.m, pre.omega)
+    sigma = np.array(_hodograph_coeffs(pre.m, c, pre.coeffs, dot))
+    return sigma, np.concatenate([[0.0], np.cumsum(_integral_weights(pre.m, c) * sigma)])
+
+
+def test_coeffs_derived_once_per_preimage(rng, monkeypatch):
+    # 100 ticks of speed and arc length, then is_regular and both public
+    # coefficient functions, derive each preimage's coefficients once
+    from ephcurve import curve
+    calls = []
+    original = curve._hodograph_coeffs
+
+    def counting(m, c, a, product):
+        calls.append(a)
+        return original(m, c, a, product)
+
+    monkeypatch.setattr(curve, "_hodograph_coeffs", counting)
+    pres = [random_preimage(rng, m, w) for m in (1, 2) for w in (0.05, 1.3, 40.0)]
+    for pre in pres:
+        for k in range(100):
+            t = (k + 0.5) / 100
+            parametric_speed(pre, t)
+            arc_length(pre, t)
+        is_regular(pre)
+        parametric_speed_coeffs(pre)
+        arc_length_coeffs(pre)
+    assert [id(a) for a in calls] == [id(pre.coeffs) for pre in pres]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_coeffs_copies_of_a_read_only_pair(rng, m):
+    pre = random_preimage(rng, m, 2.7)
+    sigma, s = pre._speed_length
+    for kept in (sigma, s):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+    want_sigma, want_s = _coeffs_from_scratch(pre)
+    for public, kept, want in ((parametric_speed_coeffs, sigma, want_sigma),
+                               (arc_length_coeffs, s, want_s)):
+        got = public(pre)
+        assert got.flags.writeable and got.flags.owndata
+        assert not np.shares_memory(got, kept)
+        assert not np.shares_memory(got, public(pre))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got[:] = 0.0                    # the caller's copy, not the preimage's
+    assert parametric_speed(pre, 0.4) == basis.hodograph_basis(m, 2.7, 0.4) @ want_sigma
+    assert arc_length(pre, 0.4) == basis.curve_basis(m, 2.7, 0.4) @ want_s
+
+
+def test_coeffs_cache_leaves_the_record_alone(rng):
+    import dataclasses
+    pre = random_preimage(rng, 2, 0.9)
+    twin = Preimage.from_dict(pre.to_dict())
+    before = (pre.to_dict(), hash(pre))
+    arc_length(pre, 0.5)                # derives pre's coefficients, not twin's
+    assert pre == twin and hash(pre) == hash(twin)
+    assert (pre.to_dict(), hash(pre)) == before
+    assert sorted(pre.to_dict()) == ["coeffs", "m", "omega"]
+    assert [f.name for f in dataclasses.fields(pre)] == ["m", "omega", "coeffs"]
+    assert Preimage.from_json(pre.to_json()) == pre
+
+
 def test_speed_matches_preimage_norm(rng):
     for m in (1, 2):
         pre = random_preimage(rng, m, 3.3)
