@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ from scipy.integrate import quad
 from conftest import rel_inf
 from oracles import constants_ref
 from ephcurve import basis
-from ephcurve.curve import (CurveBatch, EphCurve, Preimage,
-                            arc_length, arc_length_coeffs, curve_from_preimage,
-                            derivative, eval_direct, hodograph, is_regular,
-                            parametric_speed, parametric_speed_coeffs)
+from ephcurve.curve import (CurveBatch, EphCurve, Preimage, _hodograph_coeffs,
+                            _integral_weights, arc_length, arc_length_coeffs,
+                            curve_from_preimage, derivative, eval_direct, hodograph,
+                            is_regular, parametric_speed, parametric_speed_coeffs)
 from ephcurve.errors import DomainError
-from ephcurve.quat import Quaternion
+from ephcurve.quat import Quaternion, dot
 
 I = Quaternion(0, 1, 0, 0)
 
@@ -244,7 +245,6 @@ def test_speed_coeffs_examples():
                     coeffs=(Quaternion(0, 1, 2, 0), Quaternion(),
                             Quaternion(0, 0, 1, 1)))
     sigma2 = parametric_speed_coeffs(pre2)
-    from ephcurve.quat import dot
     assert sigma2[1] == 0.0 and sigma2[3] == 0.0
     assert sigma2[2] == pytest.approx(q.q1 * dot(pre2.coeffs[0], pre2.coeffs[2]),
                                       rel=1e-14)
@@ -252,8 +252,6 @@ def test_speed_coeffs_examples():
 
 def _coeffs_from_scratch(pre):
     """sigma and s derived as the public functions first derived them."""
-    from ephcurve.curve import _hodograph_coeffs, _integral_weights
-    from ephcurve.quat import dot
     c = basis.constants(pre.m, pre.omega)
     sigma = np.array(_hodograph_coeffs(pre.m, c, pre.coeffs, dot))
     return sigma, np.concatenate([[0.0], np.cumsum(_integral_weights(pre.m, c) * sigma)])
@@ -305,7 +303,6 @@ def test_coeffs_copies_of_a_read_only_pair(rng, m):
 
 
 def test_coeffs_cache_leaves_the_record_alone(rng):
-    import dataclasses
     pre = random_preimage(rng, 2, 0.9)
     twin = Preimage.from_dict(pre.to_dict())
     before = (pre.to_dict(), hash(pre))
@@ -431,7 +428,6 @@ def test_arc_length_total_m1():
 def test_arc_length_quintic_limit(rng):
     pre = random_preimage(rng, 2, 1e-4)
     a0, a1, a2 = pre.coeffs
-    from ephcurve.quat import dot
     expect = ((dot(a0, a0) + dot(a2, a2)) / 5.0 + 2.0 * dot(a1, a1) / 15.0
               + dot(a0, a1) / 5.0 + dot(a1, a2) / 5.0 + dot(a0, a2) / 15.0)
     s = arc_length_coeffs(pre)
