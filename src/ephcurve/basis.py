@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,14 @@ _AUTO_BANDS = {
 }
 
 # Largest omega whose naive hyperbolic forms stay inside double range.
-# The m=2 forms contain products reaching exp(5*omega/2).
-NAIVE_OMEGA_LIMIT = {1: 700.0, 2: 280.0}
+# m=1 needs sinh(omega); the m=2 product sinh(omega/2)**4 * g0(omega*(1-t))
+# reaches exp(4*omega)/64 as t -> 0 and overflows, into a -inf or NaN
+# basis, from omega = 178.4854 (measured at t = 5e-324 and on a
+# 100001-point grid).
+NAIVE_OMEGA_LIMIT = {1: 700.0, 2: 178.48}
+
+# exponents of (x**3, x**4, y**3, y**4), for one np.power call
+_CUBE_FOURTH = np.array([3.0, 4.0, 3.0, 4.0])
 
 
 def resolve_mode(mode: EvalMode, m: int, omega: float,
@@ -108,15 +115,14 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
-def _check_t(t, open_interval: bool = False) -> np.ndarray | np.float64:
-    """t as a float array, or as an ``np.float64`` when it is one point
-    (a Python float, a numpy scalar or a 0-d array): numpy operations on
-    a numpy scalar cost a small fraction of the same operations on a 0-d
-    array.  Chained comparisons check one point, one all-inside reduction
-    an array; NaN fails both."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = t[()]
+def _check_t(t, open_interval: bool = False) -> np.ndarray | float:
+    """t as a float array, or as a Python float when it is one point (a
+    Python float, a numpy scalar or a 0-d array): the kernels then run
+    their arithmetic on Python floats, which round + - * / as numpy does
+    at a fraction of a numpy scalar's cost.  Chained comparisons check
+    one point, one all-inside reduction an array; NaN fails both."""
+    if isinstance(t, float) or (t := np.asarray(t, dtype=float)).ndim == 0:
+        t = float(t)                    # np.float64 is a float as well
         inside = 0.0 < t < 1.0 if open_interval else 0.0 <= t <= 1.0
     elif open_interval:
         inside = np.all((t > 0.0) & (t < 1.0))
@@ -130,11 +136,54 @@ def _check_t(t, open_interval: bool = False) -> np.ndarray | np.float64:
 
 def _stack(cols) -> np.ndarray:
     """Per-t columns as rows along a new last axis.  Columns of one point
-    are numpy scalars, which ``np.array`` packs at a tenth of the cost of
+    are floats, which ``np.array`` packs at a tenth of the cost of
     ``np.stack``; the result is a fresh, writeable array either way."""
-    if np.ndim(cols[0]) == 0:
+    if isinstance(cols[0], float):
         return np.array(cols)
     return np.stack(cols, axis=-1)
+
+
+def _columns(rows: np.ndarray) -> list:
+    """The per-t columns of ``rows`` (``_stack``'s inverse): Python floats
+    for one point's row, views along the last axis for a grid."""
+    if rows.ndim == 1:
+        return rows.tolist()
+    return [rows[..., k] for k in range(rows.shape[-1])]
+
+
+def _ufunc(f, x, *args):
+    """numpy's ``f(x, *args)``, as a Python float when ``x`` is one.
+
+    The t-dependent transcendentals and powers always come from numpy's
+    own loops, so one point gets the bits of the same t in a grid
+    (``math`` and a numpy scalar's ``**`` call libm, which rounds
+    differently); the arithmetic around them stays on Python floats."""
+    y = f(x, *args)
+    return float(y) if type(x) is float else y
+
+
+def _powers(xs, ks: np.ndarray) -> list:
+    """``[x ** k for x, k in zip(xs, ks)]`` from one ``np.power`` call,
+    whose loop rounds each value as a call of its own does: Python floats
+    for Python floats, numpy scalars for numpy scalars, one row per x for
+    arrays.  One call at one point costs what one power of its own does."""
+    if type(xs[0]) is float:
+        return np.power(xs, ks).tolist()
+    return list(np.power(xs, ks.reshape(ks.shape + (1,) * np.ndim(xs[0]))))
+
+
+def _on_floats(form, x, t):
+    """``form(x, t)``.  One point runs on Python floats, whose ``/``
+    raises ZeroDivisionError where numpy's gives inf or NaN: at the powers
+    of a tiny t in the corner weights, or at an omega-only denominator
+    that rounds to zero (tiny omega in an explicit mode).  The form then
+    runs again on an ``np.float64`` t, whose arithmetic is numpy's."""
+    try:
+        return form(x, t)
+    except ZeroDivisionError:
+        if type(t) is not float:
+            raise
+    return form(x, np.float64(t))
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +213,21 @@ _SERIES_OMEGA = 1.0   # below this, use the series for the cancelling numerators
 # (m, omega) records kept per order: a sweep over more omegas evicts the
 # least recently used, so the cache's memory stays bounded
 _CONSTANTS_CACHE_SIZE = 256
+# the same bounded cache for every value that depends on omega alone: the
+# constants and the denominators of the stable forms
+_per_omega = functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 
 
-def _odd_series(x, coef, lead_power: int):
-    """sum(coef[k] * x**(lead_power + 2k)) via Horner in x**2.  A Python
-    float ``x`` (the constants) takes Python's ``**``; a numpy scalar or
-    array takes ``np.power``, since ``np.float64 ** k`` goes to libm's
-    ``pow`` and rounds differently from the array loop."""
+def _odd_series(x, coef, lead):
+    """sum(coef[k] * x**(2k)) * lead via Horner in x**2, where ``lead`` is
+    x's leading odd power, raised by the caller: the constants, on omega
+    alone, with Python's ``**``; a t-dependent x with ``np.power``, whose
+    loop rounds as a grid's does (``**`` goes to libm's ``pow``)."""
     x2 = x * x
     acc = 0.0
     for c in reversed(coef):
         acc = acc * x2 + c
-    return acc * (x ** lead_power if type(x) is float else np.power(x, lead_power))
+    return acc * lead
 
 
 @dataclass(frozen=True)
@@ -217,7 +269,7 @@ class BasisConstantsM2:
     q4_q0_over_q1: float
 
 
-@functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+@_per_omega
 def _constants_m1(w: float) -> BasisConstantsM1:
     x = 0.5 * w
     ex = math.exp(-x)
@@ -226,9 +278,12 @@ def _constants_m1(w: float) -> BasisConstantsM1:
     c1 = 2.0 * ex / (1.0 + ex2)
     if w < _SERIES_OMEGA:
         sh = math.sinh(x)
-        c2 = _odd_series(w, _C_SINH_MINUS, 3) / (2.0 * w * sh * sh)
-        num3 = _odd_series(x, _C_XCOSH_MSINH, 3)
-        c3 = num3 / (x * sh * sh)
+        try:
+            c2 = _odd_series(w, _C_SINH_MINUS, w ** 3) / (2.0 * w * sh * sh)
+            num3 = _odd_series(x, _C_XCOSH_MSINH, x ** 3)
+            c3 = num3 / (x * sh * sh)
+        except ZeroDivisionError:       # w * sinh(w/2)**2 underflows: the limits
+            c2 = c3 = 1.0 / 3.0
         c3_over_c1 = c3 * math.cosh(x)
     else:
         c2 = (1.0 - ew * ew - 2.0 * w * ew) / (w * (1.0 - ew) ** 2)
@@ -237,7 +292,7 @@ def _constants_m1(w: float) -> BasisConstantsM1:
     return BasisConstantsM1(w, c1, c2, c3, c3_over_c1)
 
 
-@functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
+@_per_omega
 def _constants_m2(w: float) -> BasisConstantsM2:
     ew = math.exp(-w)
     ew2 = ew * ew
@@ -252,14 +307,23 @@ def _constants_m2(w: float) -> BasisConstantsM2:
         q0_over_q1 = math.inf
     if w < _SERIES_OMEGA:
         sh4 = math.sinh(0.5 * w) ** 4
-        g0 = _odd_series(w, _C_G0, 5)
-        q2 = g0 / (8.0 * w * sh4)
-        q3 = _odd_series(w, _C_Q3NUM, 5) / (4.0 * w * sh4)
-        q4 = _odd_series(w, _C_Q4NUM, 5) / (4.0 * w * sh4)
-        q4_over_q1 = q4 / q1
-        q4_q0_over_q1 = q4 * q0_over_q1
-        g1 = 4.0 / _odd_series(w, _C_U, 5)
-        g2 = math.sinh(0.5 * w) / (3.0 * _odd_series(w, _C_VTHIRD, 5))
+        w5 = w ** 5
+        g0 = _odd_series(w, _C_G0, w5)
+        try:
+            q2 = g0 / (8.0 * w * sh4)
+            q3 = _odd_series(w, _C_Q3NUM, w5) / (4.0 * w * sh4)
+            q4 = _odd_series(w, _C_Q4NUM, w5) / (4.0 * w * sh4)
+            q4_over_q1 = q4 / q1
+            q4_q0_over_q1 = q4 * q0_over_q1
+            g1 = 4.0 / _odd_series(w, _C_U, w5)
+            g2 = math.sinh(0.5 * w) / (3.0 * _odd_series(w, _C_VTHIRD, w5))
+        except ZeroDivisionError:
+            # w**5 underflows: the q's limits, and the normalizers of the
+            # naive forms, which grow like 160/w**5 and -10/w**4, as infinite
+            q2 = q3 = q4_over_q1 = 0.2
+            q4 = 1.0 / 15.0
+            q4_q0_over_q1 = 2.0 / 15.0
+            g1, g2 = math.inf, -math.inf
     else:
         den4 = (1.0 - ew) ** 4
         q2 = (1.0 - 8.0 * ew + 12.0 * w * ew2 + 8.0 * ew3 - ew4) / (2.0 * w * den4)
@@ -282,11 +346,16 @@ def _constants_m2(w: float) -> BasisConstantsM2:
 
 
 def constants(m: int, omega: float):
-    """Scalar constants of the order-m spaces, safe for any omega > 0.
+    """Scalar constants of the order-m spaces, for any omega > 0.
 
     Cancelling numerators switch to their series below omega = 1, so
-    values stay accurate down to omega ~ 1e-8 (the polynomial limits
-    1/3, 2, 1/5, 1/15 are recovered smoothly).  The frozen record is
+    values stay accurate down to omega ~ 1e-60 (the polynomial limits
+    1/3, 2, 1/5, 1/15 are recovered smoothly).  Further down a series'
+    denominator turns subnormal and the values lose digits (beyond 1e-14
+    from omega ~ 1.5e-103 down for m=1, ~2.3e-62 for m=2); once it
+    underflows to zero (below ~2.5e-108 and ~5e-65) the record holds the
+    omega -> 0 limits, with the m=2 curve-basis normalizers g1, g2 as
+    +inf and -inf.  The frozen record is
     cached per (m, omega), for the most recent 256 omegas of each order,
     so repeated calls return the same object.
     """
@@ -299,13 +368,13 @@ def constants(m: int, omega: float):
 # B-basis of the preimage space and normalized B-basis of the hodograph space
 # ---------------------------------------------------------------------------
 
-def _exact_ends(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _exact_ends(t, b: np.ndarray) -> np.ndarray:
     """Set the rows of ``b`` at t=0 and t=1 to the unit vectors, which the
     closed forms reach only up to rounding (off by 6e-11 in the naive m=1
     curve basis at omega=0.096, by 2.2e-16 in the preimage basis at
     omega=0.111625).  Every basis an evaluator reads goes through here,
     so the evaluators need no end-point case of their own."""
-    if t.size == 1 and 0.0 < t.item() < 1.0:
+    if isinstance(t, float) and 0.0 < t < 1.0:
         return b                        # one interior point, the cheap test
     unit = np.eye(b.shape[-1])
     b[t == 0.0] = unit[0]
@@ -329,8 +398,8 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
         return hodograph_basis(1, omega, t)
     w = omega
     den = -math.expm1(-w)
-    p0 = np.exp(-0.5 * w * t) * (-np.expm1(-w * (1.0 - t))) / den
-    p1 = np.exp(-0.5 * w * (1.0 - t)) * (-np.expm1(-w * t)) / den
+    p0 = _ufunc(np.exp, -0.5 * w * t) * (-_ufunc(np.expm1, -w * (1.0 - t))) / den
+    p1 = _ufunc(np.exp, -0.5 * w * (1.0 - t)) * (-_ufunc(np.expm1, -w * t)) / den
     return _exact_ends(t, _stack([p0, p1]))
 
 
@@ -345,9 +414,7 @@ def hodograph_basis(m: int, omega: float, t) -> np.ndarray:
     _check_m(m)
     omega = _check_omega(omega)
     t = _check_t(t)
-    psi = preimage_basis(1, omega, t)
-    p0 = psi[..., 0]
-    p1 = psi[..., 1]
+    p0, p1 = _columns(preimage_basis(1, omega, t))
     v0 = p0 * p0
     v2 = p1 * p1
     v1 = 1.0 - v0 - v2
@@ -372,46 +439,46 @@ def _hodograph_products(v0, v1, v2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _curve_basis_naive_m1(w: float, t: np.ndarray) -> np.ndarray:
-    sh, ch = np.sinh, np.cosh
     shw = math.sinh(w)
     chw = math.cosh(w)
     den_end = shw - w
     den_mid = (w / math.tanh(0.5 * w) - 2.0) * (w - shw)
     u = 1.0 - t
-    p0 = (sh(w * u) - w * u) / den_end
-    p3 = (sh(w * t) - w * t) / den_end
-    p1 = (-w * t - w * u * chw + w * ch(w * u) + shw - sh(w * t) - sh(w * u)) / den_mid
-    p2 = (-w * u - w * t * chw + w * ch(w * t) + shw - sh(w * u) - sh(w * t)) / den_mid
+    shu, sht = _ufunc(np.sinh, w * u), _ufunc(np.sinh, w * t)
+    chu, cht = _ufunc(np.cosh, w * u), _ufunc(np.cosh, w * t)
+    p0 = (shu - w * u) / den_end
+    p3 = (sht - w * t) / den_end
+    p1 = (-w * t - w * u * chw + w * chu + shw - sht - shu) / den_mid
+    p2 = (-w * u - w * t * chw + w * cht + shw - shu - sht) / den_mid
     return _stack([p0, p1, p2, p3])
 
 
 def _g0_naive(a):
     """3a + sinh(a)(cosh(a) - 4); series below |a| = 1 (the closed form
     cancels to a**5/10 there and would cost eight digits at a ~ 0.05).
-    A numpy scalar takes one branch, an array both and picks per point."""
-    if a.ndim == 0:
+    One point takes one branch, an array both and picks per point."""
+    if isinstance(a, float):
         if abs(a) < _SERIES_OMEGA:
-            return _odd_series(a, _C_G0, 5)
-        return 3.0 * a + np.sinh(a) * (np.cosh(a) - 4.0)
+            return _odd_series(a, _C_G0, _ufunc(np.power, a, 5))
+        return 3.0 * a + _ufunc(np.sinh, a) * (_ufunc(np.cosh, a) - 4.0)
     with np.errstate(over="ignore", invalid="ignore"):
         literal = 3.0 * a + np.sinh(a) * (np.cosh(a) - 4.0)
-    return np.where(np.abs(a) < _SERIES_OMEGA, _odd_series(a, _C_G0, 5), literal)
+    return np.where(np.abs(a) < _SERIES_OMEGA, _odd_series(a, _C_G0, np.power(a, 5)),
+                    literal)
 
 
 def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
-    sh = np.sinh
     c = _constants_m2(w)
     g0w, g1w, g2w = c.g0, c.g1, c.g2
     sh4w = math.sinh(0.5 * w) ** 4
     u = 1.0 - t
     g0u = _g0_naive(w * u)
     g0t = _g0_naive(w * t)
-    shu = sh(0.5 * w * u)
-    sht = sh(0.5 * w * t)
+    shu = _ufunc(np.sinh, 0.5 * w * u)
+    sht = _ufunc(np.sinh, 0.5 * w * t)
     p0 = g0u / g0w
     p5 = g0t / g0w
-    shu3, sht3 = np.power(shu, 3), np.power(sht, 3)
-    shu4, sht4 = np.power(shu, 4), np.power(sht, 4)
+    shu3, shu4, sht3, sht4 = _powers([shu, shu, sht, sht], _CUBE_FOURTH)
     p1 = g1w * math.sinh(0.5 * w) * (shu4 - sh4w * g0u / g0w)
     p4 = g1w * math.sinh(0.5 * w) * (sht4 - sh4w * g0t / g0w)
     p2 = g2w * (-16.0 * shu3 * sht + g1w * g0w * shu4 - g1w * sh4w * g0u)
@@ -419,11 +486,28 @@ def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
     return _stack([p0, p1, p2, p3, p4, p5])
 
 
+@_per_omega
+def _den_end_m1(w: float) -> float:
+    return math.fsum([math.exp(-2.0 * w), 2.0 * w * math.exp(-w), -1.0])
+
+
 def _stable_end_m1(w: float, t: np.ndarray) -> np.ndarray:
     """Last m=1 curve-basis function; only non-positive exponents."""
-    den = math.fsum([math.exp(-2.0 * w), 2.0 * w * math.exp(-w), -1.0])
-    num = _sum_terms([np.exp(-2.0 * w * t), 2.0 * w * t * np.exp(-w * t), -1.0])
-    return num / den * np.exp(w * (t - 1.0))
+    num = _sum_terms([_ufunc(np.exp, -2.0 * w * t), 2.0 * w * t * _ufunc(np.exp, -w * t),
+                      -1.0])
+    return num / _den_end_m1(w) * _ufunc(np.exp, w * (t - 1.0))
+
+
+@_per_omega
+def _den_mid_m1(w: float) -> float:
+    iw = 1.0 / w
+    ew = math.exp(-w)
+    e2w = ew * ew
+    e3w = e2w * ew
+    return math.fsum([(2.0 * iw + 1.0) * e3w,
+                      -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
+                      -(2.0 * iw + 5.0 - 2.0 * w) * ew,
+                      2.0 * iw - 1.0])
 
 
 def _stable_mid_m1(w: float, t: np.ndarray) -> np.ndarray:
@@ -432,12 +516,12 @@ def _stable_mid_m1(w: float, t: np.ndarray) -> np.ndarray:
     ew = math.exp(-w)
     e2w = ew * ew
     e3w = e2w * ew
-    et = np.exp(-w * t)                 # e^{-wt}
-    emt1 = et * ew                      # e^{-w(t+1)}
-    emt2 = et * e2w                     # e^{-w(t+2)}
-    ep1 = np.exp(w * (t - 1.0))         # e^{w(t-1)}
-    ep2 = ep1 * ew                      # e^{w(t-2)}
-    ep3 = ep1 * e2w                     # e^{w(t-3)}
+    et = _ufunc(np.exp, -w * t)          # e^{-wt}
+    emt1 = et * ew                       # e^{-w(t+1)}
+    emt2 = et * e2w                      # e^{-w(t+2)}
+    ep1 = _ufunc(np.exp, w * (t - 1.0))  # e^{w(t-1)}
+    ep2 = ep1 * ew                       # e^{w(t-2)}
+    ep3 = ep1 * e2w                      # e^{w(t-3)}
     num = _sum_terms([
         (iw + t) * e3w,
         -iw * ep3,
@@ -450,11 +534,7 @@ def _stable_mid_m1(w: float, t: np.ndarray) -> np.ndarray:
         -iw * et,
         iw - t,
     ])
-    den = math.fsum([(2.0 * iw + 1.0) * e3w,
-                     -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
-                     -(2.0 * iw + 5.0 - 2.0 * w) * ew,
-                     2.0 * iw - 1.0])
-    return num / den
+    return num / _den_mid_m1(w)
 
 
 def _curve_basis_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
@@ -492,7 +572,7 @@ def _sum_terms(terms) -> np.ndarray:
     full = n - n % 8
     r = terms[:8]
     for i in range(8, full, 8):
-        r = [a + b for a, b in zip(r, terms[i:i + 8])]
+        r = list(map(operator.add, r, terms[i:i + 8]))
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for term in terms[full:]:
         total += term
@@ -500,14 +580,34 @@ def _sum_terms(terms) -> np.ndarray:
     return total
 
 
+@_per_omega
+def _den_p5_m2(w: float) -> float:
+    return math.fsum([math.exp(-4.0 * w), -8.0 * math.exp(-3.0 * w),
+                      -12.0 * w * math.exp(-2.0 * w), 8.0 * math.exp(-w), -1.0])
+
+
 def _stable_p5_m2(w: float, t: np.ndarray) -> np.ndarray:
-    den = math.fsum([math.exp(-4.0 * w), -8.0 * math.exp(-3.0 * w),
-                     -12.0 * w * math.exp(-2.0 * w), 8.0 * math.exp(-w), -1.0])
-    et = np.exp(-w * t)
+    et = _ufunc(np.exp, -w * t)
     et2 = et * et
     num = _sum_terms([et2 * et2, -8.0 * et2 * et, -12.0 * w * t * et2,
                       8.0 * et, -1.0])
-    return num / den * np.exp(2.0 * w * (t - 1.0))
+    return num / _den_p5_m2(w) * _ufunc(np.exp, 2.0 * w * (t - 1.0))
+
+
+@_per_omega
+def _den_p3_m2(w: float) -> float:
+    iw = 1.0 / w
+    ew = math.exp(-w)
+    e2 = ew * ew
+    e3 = e2 * ew
+    e4 = e2 * e2
+    e5 = e4 * ew
+    return 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
+                            (27.0 * iw + 31.0 + 6.0 * w) * e4,
+                            -2.0 * (15.0 * iw - 23.0 - 15.0 * w) * e3,
+                            -2.0 * (15.0 * iw + 23.0 - 15.0 * w) * e2,
+                            (27.0 * iw - 31.0 + 6.0 * w) * ew,
+                            3.0 * iw - 1.0])
 
 
 def _stable_p3_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -517,8 +617,8 @@ def _stable_p3_m2(w: float, t: np.ndarray) -> np.ndarray:
     e3 = e2 * ew
     e4 = e2 * e2
     e5 = e4 * ew
-    et = np.exp(-w * t)            # e^{-wt}
-    ep1 = np.exp(w * (t - 1.0))
+    et = _ufunc(np.exp, -w * t)    # e^{-wt}
+    ep1 = _ufunc(np.exp, w * (t - 1.0))
     ep2 = ep1 * ew
     ep3 = ep1 * e2
     ep4 = ep1 * e3
@@ -551,13 +651,23 @@ def _stable_p3_m2(w: float, t: np.ndarray) -> np.ndarray:
         -4.0 * iw * et,
         3.0 * iw - 2.0 * t,
     ])
-    den = 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
-                           (27.0 * iw + 31.0 + 6.0 * w) * e4,
-                           -2.0 * (15.0 * iw - 23.0 - 15.0 * w) * e3,
-                           -2.0 * (15.0 * iw + 23.0 - 15.0 * w) * e2,
-                           (27.0 * iw - 31.0 + 6.0 * w) * ew,
-                           3.0 * iw - 1.0])
-    return num / den
+    return num / _den_p3_m2(w)
+
+
+@_per_omega
+def _den_p4_m2(w: float) -> float:
+    ew = math.exp(-w)
+    e2 = ew * ew
+    e3 = e2 * ew
+    e4 = e2 * e2
+    e5 = e4 * ew
+    e6 = e3 * e3
+    e7 = e4 * e3
+    return math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
+                      (79.0 - 156.0 * w - 72.0 * w * w) * e4,
+                      (79.0 + 156.0 * w - 72.0 * w * w) * e3,
+                      -27.0 * (3.0 - 2.0 * w) * e2,
+                      (1.0 - 6.0 * w) * ew, 1.0])
 
 
 def _stable_p4_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -566,12 +676,10 @@ def _stable_p4_m2(w: float, t: np.ndarray) -> np.ndarray:
     e3 = e2 * ew
     e4 = e2 * e2
     e5 = e4 * ew
-    e6 = e3 * e3
-    e7 = e4 * e3
-    et = np.exp(-w * t)
+    et = _ufunc(np.exp, -w * t)
     et2 = et * et
     et3 = et2 * et
-    ep1 = np.exp(w * (t - 1.0))
+    ep1 = _ufunc(np.exp, w * (t - 1.0))
     wt = w * t
     num = _sum_terms([
         2.0 * (et2 * e5),                       # e^{-w(2t+5)}
@@ -603,12 +711,7 @@ def _stable_p4_m2(w: float, t: np.ndarray) -> np.ndarray:
         3.0 * (1.0 - 2.0 * wt) * et,
         2.0,
     ])
-    den = math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
-                     (79.0 - 156.0 * w - 72.0 * w * w) * e4,
-                     (79.0 + 156.0 * w - 72.0 * w * w) * e3,
-                     -27.0 * (3.0 - 2.0 * w) * e2,
-                     (1.0 - 6.0 * w) * ew, 1.0])
-    return num / den * ep1
+    return num / _den_p4_m2(w) * ep1
 
 
 def _curve_basis_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -628,7 +731,7 @@ def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
 
     def t3(t):
         a = ((10.0 * t * t - 21.0) * t * t + 11.0)
-        return np.power(t, 3) * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
+        return _ufunc(np.power, t, 3) * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
 
     def t2(t):
         a = (((30.0 * t - 40.0) * t + 23.0) * t - 12.0) * t - 3.0
@@ -644,19 +747,19 @@ def _taylor_m2(w: float, t: np.ndarray) -> np.ndarray:
 
     def t5(t):
         a = (49.0 * t * t - 100.0) * t * t + 51.0
-        return np.power(t, 5) * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
+        return _ufunc(np.power, t, 5) * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
 
     def t4(t):
         a = (((245.0 * t - 196.0) * t - 96.0) * t + 44.0) * t - 1.0
         b = (5.0 * t - 2.0) * t - 1.0
-        return (5.0 * np.power(t, 4) * (1.0 - t)
+        return (5.0 * _ufunc(np.power, t, 4) * (1.0 - t)
                 * ((a * W + 840.0 * b) * W + 35280.0) / 35280.0)
 
     def t3(t):
         a = (((245.0 * t - 392.0) * t + 253.0) * t - 82.0) * t + 3.0
         b = (10.0 * t - 8.0) * t + 3.0
         u = 1.0 - t
-        return (10.0 * np.power(t, 3) * (u * u)
+        return (10.0 * _ufunc(np.power, t, 3) * (u * u)
                 * ((a * W + 420.0 * b) * W + 35280.0) / 35280.0)
 
     u = 1.0 - t
@@ -689,37 +792,47 @@ def curve_basis(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> np.n
     t = _check_t(t)
     mode = resolve_mode(mode, m, omega)
     if mode is EvalMode.TAYLOR5:
-        b = _taylor_m1(omega, t) if m == 1 else _taylor_m2(omega, t)
+        form = _taylor_m1 if m == 1 else _taylor_m2
     elif mode is EvalMode.NAIVE:
-        b = _curve_basis_naive_m1(omega, t) if m == 1 else _curve_basis_naive_m2(omega, t)
+        form = _curve_basis_naive_m1 if m == 1 else _curve_basis_naive_m2
     else:
-        b = _curve_basis_stable_m1(omega, t) if m == 1 else _curve_basis_stable_m2(omega, t)
-    return _exact_ends(t, b)
+        form = _curve_basis_stable_m1 if m == 1 else _curve_basis_stable_m2
+    return _exact_ends(t, _on_floats(form, omega, t))
 
 
 # ---------------------------------------------------------------------------
 # corner-cut weights
 # ---------------------------------------------------------------------------
 
-def _tau_from_curve_basis(m: int, t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Corner weights from curve-basis values via the defining ratios."""
+def _tau_from_curve_basis(b: np.ndarray, t) -> np.ndarray:
+    """Corner weights from curve-basis rows ``b`` via the defining ratios."""
+    p = _columns(b)
     u = 1.0 - t
     u2 = u * u
     t2 = t * t
-    if m == 1:
-        tau0 = p[..., 0] / u2
-        tau1 = (p[..., 0] + p[..., 1] - u2) / (2.0 * t * u)
-        tau2 = 1.0 - p[..., 3] / t2
+    if len(p) == 4:                     # m = 1
+        tau0 = p[0] / u2
+        tau1 = (p[0] + p[1] - u2) / (2.0 * t * u)
+        tau2 = 1.0 - p[3] / t2
         return _stack([tau0, tau1, tau2])
-    u3, u4 = np.power(u, 3), np.power(u, 4)
-    t3, t4 = np.power(t, 3), np.power(t, 4)
-    tau0 = p[..., 0] / u4
-    tau1 = (p[..., 0] + p[..., 1] - u4) / (4.0 * t * u3)
-    tau2 = ((p[..., 0] + p[..., 1] + p[..., 2] - u4 - 4.0 * t * u3)
+    u3, u4, t3, t4 = _powers([u, u, t, t], _CUBE_FOURTH)
+    tau0 = p[0] / u4
+    tau1 = (p[0] + p[1] - u4) / (4.0 * t * u3)
+    tau2 = ((p[0] + p[1] + p[2] - u4 - 4.0 * t * u3)
             / (6.0 * t2 * u2))
-    tau3 = 1.0 - (p[..., 4] + p[..., 5] - t4) / (4.0 * t3 * u)
-    tau4 = 1.0 - p[..., 5] / t4
+    tau3 = 1.0 - (p[4] + p[5] - t4) / (4.0 * t3 * u)
+    tau4 = 1.0 - p[5] / t4
     return _stack([tau0, tau1, tau2, tau3, tau4])
+
+
+@_per_omega
+def _tau_dens_m1(w: float) -> tuple:
+    """The omega-only factors of the stable m=1 weights' denominators."""
+    iw = 1.0 / w
+    s1 = math.exp(-w)
+    den_end = math.fsum([s1 * s1, 2.0 * w * s1, -1.0])
+    d1 = 2.0 * (s1 + 1.0) * ((2.0 * iw + 1.0) * s1 - 2.0 * iw + 1.0)
+    return den_end, d1
 
 
 def _tau_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
@@ -728,11 +841,11 @@ def _tau_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
     iw = 1.0 / w
     s1 = math.exp(-w)
     s2 = s1 * s1
-    E = np.exp(-w * t)               # e^{-wt}
-    P = np.exp(w * (t - 1.0))        # e^{w(t-1)}
+    E = _ufunc(np.exp, -w * t)           # e^{-wt}
+    P = _ufunc(np.exp, w * (t - 1.0))    # e^{w(t-1)}
     u = t - 1.0
     tu = t * u
-    den_end = math.fsum([s2, 2.0 * w * s1, -1.0])
+    den_end, d1 = _tau_dens_m1(w)
     n0 = (-2.0 * w * s1) * u - E + s1 * P
     tau0 = n0 / ((u * u) * den_end)
     qa = 2.0 * iw + 1.0
@@ -740,11 +853,27 @@ def _tau_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
     p0 = ((qa * s2 - qa + 2.0) * t - (qb * s2 - qb + 2.0)) * t \
         + iw * (s2 - 1.0) + 2.0 * s1 * tu
     n1 = p0 + (iw * (1.0 + s1)) * E - (iw * (1.0 + s1)) * P
-    d1 = (2.0 * (s1 + 1.0) * (qa * s1 - 2.0 * iw + 1.0)) * tu
-    tau1 = n1 / d1
+    tau1 = n1 / (d1 * tu)
     n2 = (s2 - 1.0) * (t * t) + (2.0 * w * s1) * tu - s1 * E + P
     tau2 = n2 / ((t * t) * den_end)
     return _stack([tau0, tau1, tau2])
+
+
+@_per_omega
+def _tau_dens_m2(w: float) -> tuple:
+    """The omega-only factors of the stable m=2 weights: the denominators'
+    and the t^4 coefficient of tau_4's numerator."""
+    iw = 1.0 / w
+    s1 = math.exp(-w)
+    s2 = s1 * s1
+    s3 = s2 * s1
+    s4 = s2 * s2
+    den_end = math.fsum([-s4, 8.0 * s3, 12.0 * w * s2, -8.0 * s1, 1.0])
+    den_mid = 4.0 * math.fsum([s3, 3.0 * (2.0 * w + 3.0) * s2,
+                               3.0 * (2.0 * w - 3.0) * s1, -1.0])
+    d2 = 12.0 * math.fsum([(3.0 * iw + 1.0) * s2, 4.0 * s1, -3.0 * iw, 1.0])
+    c4 = math.fsum([-s4, 8.0 * s3, -8.0 * s1, 1.0])
+    return den_end, den_mid, d2, c4
 
 
 def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
@@ -754,10 +883,9 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     s1 = math.exp(-w)
     s2 = s1 * s1
     s3 = s2 * s1
-    s4 = s2 * s2
-    E = np.exp(-w * t)               # e^{-wt}
+    E = _ufunc(np.exp, -w * t)           # e^{-wt}
     E2 = E * E
-    P = np.exp(w * (t - 1.0))        # e^{w(t-1)}
+    P = _ufunc(np.exp, w * (t - 1.0))    # e^{w(t-1)}
     D = P * P
     u = t - 1.0
     t2 = t * t
@@ -765,9 +893,7 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     t4 = t2 * t2
     u2 = u * u
     u4 = u2 * u2
-    den_end = math.fsum([-s4, 8.0 * s3, 12.0 * w * s2, -8.0 * s1, 1.0])
-    den_mid = math.fsum([s3, 3.0 * (2.0 * w + 3.0) * s2,
-                         3.0 * (2.0 * w - 3.0) * s1, -1.0])
+    den_end, den_mid, d2, c4 = _tau_dens_m2(w)
 
     n0 = (-12.0 * w * s2) * u - (8.0 * s1) * E + E2 + (8.0 * s2) * P - s2 * D
     tau0 = n0 / ((u4) * den_end)
@@ -777,7 +903,7 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     p0 = ((s3 - 1.0) * u4 + (3.0 * (s2 - s1)) * poly1
           + (3.0 * (s2 + s1)) * poly1w)
     n1 = p0 + (6.0 * s1 + 2.0) * E - E2 - (2.0 * s2 + 6.0 * s1) * P + s1 * D
-    tau1 = n1 / ((4.0 * den_mid) * (t * u * u2))
+    tau1 = n1 / (den_mid * (t * u * u2))
 
     # The e^{-2w} bracket of this numerator carries a plus sign; the
     # printed source has a spurious minus there (it contradicts the
@@ -787,19 +913,16 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     p0 = (s2 - 1.0) * poly2a + (s2 + 1.0 + 4.0 * s1) * poly2b
     n2 = p0 - (4.0 * iw * (s1 + 1.0)) * E + iw * E2 \
         + (4.0 * iw * (s1 + 1.0)) * P - iw * D
-    d2 = (12.0 * math.fsum([(3.0 * iw + 1.0) * s2, 4.0 * s1, -3.0 * iw, 1.0])) \
-        * (t2 * u2)
-    tau2 = n2 / d2
+    tau2 = n2 / (d2 * (t2 * u2))
 
     poly3 = t3 * (3.0 * t - 4.0)
     poly3a = (2.0 * w) * t * (((3.0 * t - 4.0) * t2) + 1.0)
     poly3b = (9.0 * t - 12.0) * t3 + 1.0
     p0 = (s3 - 1.0) * poly3 + (3.0 * (s2 + s1)) * poly3a + (3.0 * (s2 - s1)) * poly3b
     n3 = p0 + (2.0 * s2 + 6.0 * s1) * E - s1 * E2 - (6.0 * s1 + 2.0) * P + D
-    tau3 = n3 / ((4.0 * den_mid) * (t3 * u))
+    tau3 = n3 / (den_mid * (t3 * u))
 
-    p0 = math.fsum([-s4, 8.0 * s3, -8.0 * s1, 1.0]) * t4 \
-        + (12.0 * w * s2) * (t * (t3 - 1.0))
+    p0 = c4 * t4 + (12.0 * w * s2) * (t * (t3 - 1.0))
     n4 = p0 - (8.0 * s2) * E + s2 * E2 + (8.0 * s1) * P - D
     tau4 = n4 / (t4 * den_end)
 
@@ -825,5 +948,5 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     t = _check_t(t, open_interval=True)
     mode = resolve_mode(mode, m, omega, "tau")
     if mode is EvalMode.STABLE_LARGE_OMEGA:
-        return _tau_stable_m1(omega, t) if m == 1 else _tau_stable_m2(omega, t)
-    return _tau_from_curve_basis(m, t, curve_basis(m, omega, t, mode))
+        return _on_floats(_tau_stable_m1 if m == 1 else _tau_stable_m2, omega, t)
+    return _on_floats(_tau_from_curve_basis, curve_basis(m, omega, t, mode), t)

@@ -70,11 +70,12 @@ def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
     e1 = math.exp(-omega)
     e2 = e1 * e1
     beta = (1.0 + e2) / (2.0 * (1.0 + e2) + 2.0 * e1)
+    h0, h1, h2, h3, h4 = basis._columns(h)
     return basis._stack([
-        h[..., 0] + beta * h[..., 1],
-        (1.0 - beta) * h[..., 1] + c.q0 * h[..., 2],
-        c.q1 * h[..., 2] + h[..., 3],
-        h[..., 4],
+        h0 + beta * h1,
+        (1.0 - beta) * h1 + c.q0 * h2,
+        c.q1 * h2 + h3,
+        h4,
     ])
 
 
@@ -85,9 +86,9 @@ def _corner_chain(m: int, omega: float, t: np.ndarray,
     For m=2 the hodograph level is built from the m=1 level before it,
     by the products ``hodograph_basis(2, ...)`` uses."""
     h1 = basis.hodograph_basis(1, omega, t)
-    chain = [np.ones(t.shape + (1,)), _two_space_basis(omega, t), h1]
+    chain = [np.ones(np.shape(t) + (1,)), _two_space_basis(omega, t), h1]
     if m == 2:
-        h = basis._hodograph_products(h1[..., 0], h1[..., 1], h1[..., 2])
+        h = basis._hodograph_products(*basis._columns(h1))
         chain.append(_four_space_basis(omega, h))
         chain.append(h)
     chain.append(basis.curve_basis(m, omega, t, mode))
@@ -113,7 +114,7 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
         for p in range(2 * m + 1):
             bp = chain[p]
             bp1 = chain[p + 1]
-            lam = np.empty((p + 1,) + t.shape)
+            lam = np.empty((p + 1,) + np.shape(t))
             carried = np.zeros_like(t)            # lam[j-1] * B_{p,j-1}
             for j in range(p + 1):
                 raw = 1.0 - (bp1[..., j] - carried) / bp[..., j]
@@ -130,11 +131,13 @@ def _point_columns(curve: EphCurve | CurveBatch, t):
 
     The corner-cutting evaluators keep points as lead + (dim, t), with
     lead = (N,) for a batch and () for one curve, so every product runs
-    along t.  A single t stays an ``np.float64``, so every per-t quantity
-    is a numpy scalar and the points keep their length-1 t axis."""
+    along t.  A single t stays a Python float, so every per-t factor is
+    one and the points keep their length-1 t axis."""
     t = basis._check_t(t)
-    tv = t if t.ndim == 0 else t.reshape(-1)
-    return t.shape, tv, curve.control_points.swapaxes(-1, -2)[..., None]
+    cp = curve.control_points.swapaxes(-1, -2)[..., None]
+    if isinstance(t, float):
+        return (), t, cp
+    return t.shape, t.reshape(-1), cp
 
 
 def _point_rows(q: np.ndarray, shape: tuple) -> np.ndarray:
@@ -173,7 +176,7 @@ def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
     shape, tv, cp = _point_columns(curve, t)
     b = basis.curve_basis(curve.m, curve.omega, tv, mode)
     s = np.cumsum(b, axis=-1)
-    q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (tv.size,)).copy()
+    q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (np.size(tv),)).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, 2 * curve.m + 2):
             h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
@@ -203,8 +206,8 @@ def _corner_cut(curve: EphCurve | CurveBatch, cp: np.ndarray, t: np.ndarray,
     """Points lead + (dim, t) at parameters ``t`` all on one side of 0.5."""
     tau = basis.corner_weights(curve.m, curve.omega, t, mode)
     # (2m+1, t) with t contiguous, so r1 and the recursion run along
-    # contiguous t; a 0-d t gives the length-1 t axis of the points
-    tau = np.ascontiguousarray(tau.T) if t.ndim else tau.reshape(-1, 1)
+    # contiguous t; one point gives the length-1 t axis of the points
+    tau = tau.reshape(-1, 1) if isinstance(t, float) else np.ascontiguousarray(tau.T)
     r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
     r1 += cp[..., 1:, :]
     s, u = t, 1.0 - t
@@ -223,7 +226,8 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     ``_bernstein_wc``).  When every point lies strictly inside (0, 1) on
     one side of 0.5, as a single interior t always does, the points are
     cut as given, with one ``corner_weights`` call and no gather or
-    scatter by branch; a single t stays 0-d throughout.  Near t = 0 the
+    scatter by branch; a single interior t takes one comparison chain to
+    its side and stays a Python float throughout.  Near t = 0 the
     corner weights underflow (see ``corner_weights``): the result is NaN
     from about t = 1e-161 down for m=1 and from about t = 1e-81 for m=2
     (measured at omega from 1e-3 to 300), where ``eval_direct`` stays
@@ -233,6 +237,10 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     and by t = 1e-160 at omega = 300.
     """
     shape, tv, cp = _point_columns(curve, t)
+    if isinstance(tv, float):
+        if 0.0 < tv < 1.0:
+            return _point_rows(_corner_cut(curve, cp, tv, tv < 0.5, mode), shape)
+        tv = np.array([tv])             # an end: the masks pick its control point
     below = (tv > 0.0) & (tv < 0.5)
     above = (tv >= 0.5) & (tv < 1.0)
     if below.all() or above.all():      # one side only: no gather, no scatter

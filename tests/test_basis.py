@@ -193,6 +193,25 @@ def test_curve_basis_naive_overflow_guard():
         basis.curve_basis(2, 300.0, 0.5, EvalMode.NAIVE)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_naive_finite_up_to_its_limit(m):
+    # at its limit the naive basis is finite on a dense grid, the ends and
+    # the smallest t included (the m=2 product sinh(w/2)**4 * g0(w(1-t))
+    # peaks as t -> 0), and so are the weights inside (0, 1); one double
+    # above, the mode raises
+    w = basis.NAIVE_OMEGA_LIMIT[m]
+    ts = np.concatenate([[0.0, 5e-324, 1e-300, 1.0 - 1e-16, 1.0],
+                         np.linspace(0.0, 1.0, 100_001)])
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.all(np.isfinite(basis.curve_basis(m, w, ts, EvalMode.NAIVE)))
+        for t in ts[:5]:
+            assert np.all(np.isfinite(basis.curve_basis(m, w, t, EvalMode.NAIVE)))
+        inner = np.linspace(0.0, 1.0, 100_001)[1:-1]
+        assert np.all(np.isfinite(basis.corner_weights(m, w, inner, EvalMode.NAIVE)))
+    with pytest.raises(OverflowHazardError):
+        basis.curve_basis(m, float(np.nextafter(w, math.inf)), 0.5, EvalMode.NAIVE)
+
+
 def test_curve_basis_domain_error():
     with pytest.raises(DomainError):
         basis.curve_basis(1, 1.0, -0.01)
@@ -411,12 +430,13 @@ def test_scalar_t_check_accepts_the_closed_ends(name, m):
 
 
 def test_check_t_gives_one_point_as_float64():
-    # one point becomes a numpy scalar, so the kernels run scalar math on
-    # it; an array passes through as the same object
+    # one point becomes a Python float (a C double), so the kernels run
+    # their arithmetic on floats; an array passes through as the same
+    # object
     for t in _scalar_forms(0.3):
         for open_interval in (False, True):
             got = basis._check_t(t, open_interval)
-            assert type(got) is np.float64 and got == 0.3, (type(t), open_interval)
+            assert type(got) is float and got == 0.3, (type(t), open_interval)
     for shape in ((1,), (5,), (2, 3)):
         t = np.full(shape, 0.3)
         assert basis._check_t(t) is t
@@ -588,6 +608,25 @@ def test_constants_small_omega_limits():
     assert q.q2 == pytest.approx(0.2, abs=1e-6)
     assert q.q3 == pytest.approx(0.2, abs=1e-6)
     assert q.q4 == pytest.approx(1.0 / 15.0, abs=1e-6)
+
+
+# omegas whose series denominators underflow to zero (the constants raised
+# ZeroDivisionError there) and the ends of the double range
+TINY_OMEGAS = (1e-65, 1e-70, 1e-108, 1e-110, 1e-300, 5e-324)
+
+
+@pytest.mark.parametrize("w", TINY_OMEGAS)
+def test_constants_at_tiny_omega_are_the_limits(w):
+    c = basis.constants(1, w)
+    assert c.c1 == 1.0
+    for name in ("c2", "c3", "c3_over_c1"):
+        assert getattr(c, name) == pytest.approx(1.0 / 3.0, rel=1e-15), name
+    q = basis.constants(2, w)
+    limits = {"q0": 2.0 / 3.0, "q1": 1.0 / 3.0, "q2": 0.2, "q3": 0.2, "q4": 1.0 / 15.0,
+              "q0_over_q1": 2.0, "q4_over_q1": 0.2, "q4_q0_over_q1": 2.0 / 15.0}
+    for name, value in limits.items():
+        assert getattr(q, name) == pytest.approx(value, rel=1e-15), name
+    assert 0.0 <= q.g0 < 1e-300 and q.g1 == math.inf and q.g2 == -math.inf
 
 
 def test_constants_nonzero():

@@ -166,41 +166,86 @@ def test_sum_terms_of_negative_zeros_is_positive_zero(shape):
         assert_same_bits(basis._sum_terms(terms), _stacked_sum(terms))
 
 
+# the smallest t a caller can pass: their powers in the corner weights
+# underflow to zero, so one point must give numpy's inf or NaN there
+TINY_TS = (5e-324, 1e-300, 1e-200, 1e-100)
+
+
+def _outcome(f, t):
+    """f(t), or the type and message of what it raised."""
+    try:
+        return f(t)
+    except Exception as exc:  # noqa: BLE001 -- compared, not swallowed
+        return type(exc), str(exc)
+
+
 def _check_one_point(f, ts, full, coeffs=None):
-    """f at ts[i], 0-d and (1,), against row i of its grid values ``full``
-    (contracted with ``coeffs`` when given)."""
-    for i in list(range(0, ts.size, 20)) + [ts.size - 1]:
+    """f at each tiny ts[i] and every 20th, 0-d and (1,), against row i of
+    ``full``, the outcome of f's grid (contracted with ``coeffs`` when
+    given): the same bits, NaN and inf included, or the same exception."""
+    for i in list(range(len(TINY_TS))) + list(range(len(TINY_TS), ts.size, 20)) + [ts.size - 1]:
         for at in (i, slice(i, i + 1)):
-            assert_same_bits(f(ts[at]), full[at] if coeffs is None else full[at] @ coeffs)
+            got = _outcome(f, ts[at])
+            if isinstance(full, tuple):
+                assert got == full, ts[at]
+            else:
+                assert_same_bits(got, full[at] if coeffs is None else full[at] @ coeffs)
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("w", np.geomspace(0.1, 650.0, 9))
+@pytest.mark.parametrize("w", np.geomspace(1e-4, 650.0, 13))
 def test_stable_one_point_matches_grid_bitwise(m, w):
     # One-point callers (arc_length, parametric_speed or an evaluator at
     # one t) get the bits that a 501-point grid gives at the same t, in
-    # every mode: a 0-d t runs on numpy scalars, where a t-dependent **
-    # would reach libm's pow instead of numpy's loop.  The contraction
-    # with the speed and length coefficients is BLAS's, whose rounding of
-    # a row depends on how many rows it gets, so their reference is the
-    # grid's basis row contracted alone.
-    grid = np.linspace(0.0, 1.0, 501)
-    inner = grid[1:-1]
+    # every mode, from t = 5e-324 up and omega = 1e-4 up.  One point runs
+    # on Python floats: its transcendentals and powers must come from
+    # numpy's loops (math and a numpy scalar's ** call libm, which rounds
+    # differently), and where Python's / raises on a zero denominator the
+    # form must fall back to numpy's inf or NaN.  The contraction with the
+    # speed and length coefficients is BLAS's, whose rounding of a row
+    # depends on how many rows it gets, so their reference is the grid's
+    # basis row contracted alone.  NAIVE above its limit raises, one point
+    # as a grid.
+    grid = np.concatenate([TINY_TS, np.linspace(0.0, 1.0, 501)])
+    inner = grid[(grid > 0.0) & (grid < 1.0)]
     coeffs = np.random.default_rng(m).uniform(-1.0, 1.0, (m + 1, 4))
     pre = Preimage(m=m, omega=w, coeffs=tuple(coeffs))
-    modes = [mode for mode in EvalMode
-             if mode is not EvalMode.NAIVE or w <= basis.NAIVE_OMEGA_LIMIT[m]]
     with np.errstate(all="ignore"):     # the series far outside their band
-        _check_one_point(lambda t: basis.preimage_basis(m, w, t), grid,
-                         basis.preimage_basis(m, w, grid))
+        for f in (lambda t: basis.preimage_basis(m, w, t),
+                  lambda t: basis.taylor_curve_basis(m, w, t)):
+            _check_one_point(f, grid, _outcome(f, grid))
         h = basis.hodograph_basis(m, w, grid)
         _check_one_point(lambda t: basis.hodograph_basis(m, w, t), grid, h)
         _check_one_point(lambda t: parametric_speed(pre, t), grid, h,
                          parametric_speed_coeffs(pre))
-        for mode in modes:
-            b = basis.curve_basis(m, w, grid, mode)
+        for mode in EvalMode:
+            b = _outcome(lambda t: basis.curve_basis(m, w, t, mode), grid)
             _check_one_point(lambda t: basis.curve_basis(m, w, t, mode), grid, b)
             _check_one_point(lambda t: arc_length(pre, t, mode), grid, b,
                              arc_length_coeffs(pre))
             _check_one_point(lambda t: basis.corner_weights(m, w, t, mode), inner,
-                             basis.corner_weights(m, w, inner, mode))
+                             _outcome(lambda t: basis.corner_weights(m, w, t, mode), inner))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_powers_match_separate_calls(seed):
+    # one np.power call over (x, x, y, y) gives each value the bits of a
+    # call of its own, for one point (Python floats and numpy scalars) and
+    # for grids, subnormal and overflowing powers included
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 8, 9, 17, 1000, 100_000):
+        x, y = rng.uniform(0.0, 2.0, (2, n)) * 10.0 ** rng.integers(-90, 90, (2, n))
+        with np.errstate(over="ignore"):
+            got = basis._powers([x, x, y, y], basis._CUBE_FOURTH)
+            want = [np.power(v, k) for v, k in zip((x, x, y, y), (3, 4, 3, 4))]
+        for g, v in zip(got, want):
+            assert_same_bits(g, v)
+    for a, b in rng.uniform(0.0, 2.0, (2000, 2)):
+        want = [np.power(a, 3), np.power(a, 4), np.power(b, 3), np.power(b, 4)]
+        got = basis._powers([float(a), float(a), float(b), float(b)], basis._CUBE_FOURTH)
+        assert [type(g) for g in got] == [float] * 4
+        assert_same_bits(np.array(got), np.array(want))
+        got = basis._powers([np.float64(a), np.float64(a), np.float64(b), np.float64(b)],
+                            basis._CUBE_FOURTH)
+        assert [type(g) for g in got] == [np.float64] * 4
+        assert_same_bits(np.array(got), np.array(want))

@@ -224,8 +224,10 @@ def test_batch_matches_per_curve_bitwise(rng, d, m):
 # their shape in the output
 ONE_POINT_FORMS = (float, np.float64, np.asarray,
                    lambda t: np.array([t]), lambda t: np.array([[t]]))
-ONE_POINT_TS = (0.0, 0.013, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.77, 0.9,
-                1.0 - 1e-16, 1.0)
+# from the smallest t up: there the corner weights divide by powers of t
+# that underflow to zero, and one point must give the grid's NaN
+ONE_POINT_TS = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 0.013, 0.1, 0.2, 0.3, 0.4,
+                0.5, 0.6, 0.7, 0.77, 0.9, 1.0 - 1e-16, 1.0)
 # grids wholly on one side of 0.5, which eval_new cuts without a gather
 ONE_SIDE_GRIDS = (np.linspace(0.01, 0.49, 7), np.linspace(0.5, 0.97, 7))
 
@@ -234,12 +236,13 @@ ONE_SIDE_GRIDS = (np.linspace(0.01, 0.49, 7), np.linspace(0.5, 0.97, 7))
 @pytest.mark.parametrize("m", [1, 2])
 def test_one_point_matches_grid_bitwise(rng, m, mode):
     # one point, and a grid on one side of 0.5, give the bits of the same
-    # t inside a grid that crosses 0.5; eval_direct contracts through
-    # BLAS, whose rounding of a row depends on how many rows it gets, so
-    # its reference is the grid's basis rows contracted alone
+    # t inside a grid that crosses 0.5, NaN included; eval_direct
+    # contracts through BLAS, whose rounding of a row depends on how many
+    # rows it gets, so its reference is the grid's basis rows contracted
+    # alone
     grid = np.concatenate([ONE_POINT_TS, np.linspace(0.0, 1.0, 41)]
                           + list(ONE_SIDE_GRIDS))
-    for w in (0.05, 0.7, 4.0, 150.0):
+    for w in (1e-4, 0.05, 0.7, 4.0, 150.0):
         pts = rng.uniform(-1, 1, (3, 2 * m + 2, 3))
         for curve in (EphCurve(m=m, omega=w, dim=3, control_points=pts[0]),
                       CurveBatch(m=m, omega=w, dim=3, control_points=pts)):

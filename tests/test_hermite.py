@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ephcurve.curve import derivative, eval_direct, parametric_speed
+from ephcurve.curve import (Preimage, arc_length, curve_from_preimage, derivative,
+                            eval_direct, parametric_speed)
 from ephcurve.errors import DegenerateDirectionError, ZeroVectorError
 from ephcurve.hermite import (AngleChoice, HermiteProblem, PlanarSolutionTag,
                               reproduce_hyperbolic, solve_planar, solve_spatial)
@@ -255,3 +256,35 @@ def test_degenerate_middle_direction():
                              di=tuple(di), df=tuple(di), omega=1.0)
     with pytest.raises(DegenerateDirectionError):
         solve_spatial(problem, AngleChoice(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("w", [1e-65, 1e-70, 1e-108, 1e-110, 1e-300, 5e-324])
+def test_public_calls_at_tiny_omega(w):
+    # where the constants' series underflow, speed, arc length, the PH
+    # polygon and a Hermite solve still give the omega -> 0 values, which
+    # omega = 1e-60 reaches to within a few ulp.  At a subnormal omega the
+    # preimage basis's products omega * t lose their digits, so there the
+    # speed and arc length are only checked to be finite.
+    ref_w = 1e-60
+    coeffs = ((1.0, 0.2, 0.1, 0.3), (0.5, 1.0, 0.2, 0.1), (0.3, 0.1, 1.0, 0.2))
+    ts = np.linspace(0.0, 1.0, 11)
+    normal = w >= np.finfo(float).tiny
+    for m in (1, 2):
+        pre, ref = (Preimage(m=m, omega=v, coeffs=coeffs[:m + 1]) for v in (w, ref_w))
+        for t in (ts, 0.3, 1.0):
+            for f in (parametric_speed, arc_length):
+                got = f(pre, t)
+                assert np.all(np.isfinite(got))
+                assert not normal or np.allclose(got, f(ref, t), rtol=1e-14, atol=0.0)
+        assert np.allclose(curve_from_preimage(pre, [0.0, 0.1, 0.2]).control_points,
+                           curve_from_preimage(ref, [0.0, 0.1, 0.2]).control_points,
+                           rtol=1e-14, atol=1e-15)
+    problem, ref_problem = (HermiteProblem(
+        r0=(0.0, 0.0, 0.0), r_end=(1.0, 1.0, 1.0), di=(-0.8, 0.3, 1.2),
+        df=(0.5, -1.3, -1.0), omega=v) for v in (w, ref_w))
+    angles = AngleChoice.from_mean_delta(-math.pi / 10, math.pi / 3, eta1=-math.pi / 2)
+    sol = solve_spatial(problem, angles)
+    assert np.allclose(sol.curve.control_points,
+                       solve_spatial(ref_problem, angles).curve.control_points,
+                       rtol=1e-14, atol=1e-15)
+    assert residuals(sol.curve, problem) < 1e-9
