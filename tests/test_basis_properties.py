@@ -193,7 +193,7 @@ def _check_one_point(f, ts, full, coeffs=None):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("w", np.geomspace(1e-4, 650.0, 13))
+@pytest.mark.parametrize("w", [1e-4, 1e-3, 0.01, *np.geomspace(0.1, 650.0, 9)])
 def test_stable_one_point_matches_grid_bitwise(m, w):
     # One-point callers (arc_length, parametric_speed or an evaluator at
     # one t) get the bits that a 501-point grid gives at the same t, in
