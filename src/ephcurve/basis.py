@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +80,11 @@ _AUTO_BANDS = {
 # 100001-point grid).
 NAIVE_OMEGA_LIMIT = {1: 700.0, 2: 178.48}
 
-# exponents of (x**3, x**4, y**3, y**4), for one np.power call
+# exponents of (x**3, x**4, y**3, y**4), (x**3, y**3) and
+# (x**5, x**4, x**3, y**5, y**4, y**3), for one np.power call each
 _CUBE_FOURTH = np.array([3.0, 4.0, 3.0, 4.0])
+_CUBES = np.array([3.0, 3.0])
+_FIFTH_TO_THIRD = np.array([5.0, 4.0, 3.0, 5.0, 4.0, 3.0])
 
 
 def resolve_mode(mode: EvalMode, m: int, omega: float,
@@ -214,7 +216,7 @@ _SERIES_OMEGA = 1.0   # below this, use the series for the cancelling numerators
 # least recently used, so the cache's memory stays bounded
 _CONSTANTS_CACHE_SIZE = 256
 # the same bounded cache for every value that depends on omega alone: the
-# constants and the denominators of the stable forms
+# constants, and one record per stable form of its omega-only factors
 _per_omega = functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 
 
@@ -487,63 +489,70 @@ def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
 
 
 @_per_omega
-def _den_end_m1(w: float) -> float:
-    return math.fsum([math.exp(-2.0 * w), 2.0 * w * math.exp(-w), -1.0])
+def _omega_end_m1(w: float) -> tuple:
+    """The omega-only factors of ``_stable_end_m1``: 2w and the
+    denominator."""
+    return 2.0 * w, math.fsum([math.exp(-2.0 * w), 2.0 * w * math.exp(-w), -1.0])
 
 
-def _stable_end_m1(w: float, t: np.ndarray) -> np.ndarray:
-    """Last m=1 curve-basis function; only non-positive exponents."""
-    num = _sum_terms([_ufunc(np.exp, -2.0 * w * t), 2.0 * w * t * _ufunc(np.exp, -w * t),
-                      -1.0])
-    return num / _den_end_m1(w) * _ufunc(np.exp, w * (t - 1.0))
+def _stable_end_m1(w: float, t, e2t, et, ep1):
+    """Last m=1 curve-basis function; only non-positive exponents.  The
+    caller passes e^{-2wt}, e^{-wt} and e^{w(t-1)}."""
+    w2, den = _omega_end_m1(w)
+    return _sum_terms([e2t, w2 * t * et, -1.0]) / den * ep1
 
 
 @_per_omega
-def _den_mid_m1(w: float) -> float:
+def _omega_mid_m1(w: float) -> tuple:
+    """The omega-only factors of ``_stable_mid_m1``: 1/w, e^{-w}, e^{-2w},
+    e^{-3w}, the whole coefficients of its terms 1, 2, 4, 5, 7 and 8, and
+    the denominator.  Each is the value the term's own left-to-right
+    evaluation gives."""
     iw = 1.0 / w
     ew = math.exp(-w)
     e2w = ew * ew
     e3w = e2w * ew
-    return math.fsum([(2.0 * iw + 1.0) * e3w,
-                      -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
-                      -(2.0 * iw + 5.0 - 2.0 * w) * ew,
-                      2.0 * iw - 1.0])
+    den = math.fsum([(2.0 * iw + 1.0) * e3w,
+                     -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
+                     -(2.0 * iw + 5.0 - 2.0 * w) * ew,
+                     2.0 * iw - 1.0])
+    return (iw, ew, e2w, e3w, -iw, -(iw + 1.0), 2.0 * iw - 1.0, 2.0 * iw + 1.0,
+            -(iw - 1.0), den)
 
 
-def _stable_mid_m1(w: float, t: np.ndarray) -> np.ndarray:
-    """Third m=1 curve-basis function (index 2); non-positive exponents."""
-    iw = 1.0 / w
-    ew = math.exp(-w)
-    e2w = ew * ew
-    e3w = e2w * ew
-    et = _ufunc(np.exp, -w * t)          # e^{-wt}
+def _stable_mid_m1(w: float, t, et, ep1):
+    """Third m=1 curve-basis function (index 2); non-positive exponents.
+    The caller passes e^{-wt} and e^{w(t-1)}."""
+    iw, ew, e2w, e3w, k1, k2, k4, k5, k7, den = _omega_mid_m1(w)
     emt1 = et * ew                       # e^{-w(t+1)}
     emt2 = et * e2w                      # e^{-w(t+2)}
-    ep1 = _ufunc(np.exp, w * (t - 1.0))  # e^{w(t-1)}
     ep2 = ep1 * ew                       # e^{w(t-2)}
     ep3 = ep1 * e2w                      # e^{w(t-3)}
     num = _sum_terms([
         (iw + t) * e3w,
-        -iw * ep3,
-        -(iw + 1.0) * emt2,
+        k1 * ep3,
+        k2 * emt2,
         -(iw + 3.0 * t - 2.0) * e2w,
-        (2.0 * iw - 1.0) * ep2,
-        (2.0 * iw + 1.0) * emt1,
+        k4 * ep2,
+        k5 * emt1,
         -(iw - 3.0 * t + 2.0) * ew,
-        -(iw - 1.0) * ep1,
-        -iw * et,
+        k7 * ep1,
+        k1 * et,
         iw - t,
     ])
-    return num / _den_mid_m1(w)
+    return num / den
 
 
 def _curve_basis_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
+    # each t-dependent exponential once, shared by the forms at t and 1 - t
     u = 1.0 - t
+    eu, et = _ufunc(np.exp, -w * u), _ufunc(np.exp, -w * t)
+    pu, pt = _ufunc(np.exp, w * (u - 1.0)), _ufunc(np.exp, w * (t - 1.0))
     return _stack([
-        _stable_end_m1(w, u),
-        _stable_mid_m1(w, u),
-        _stable_mid_m1(w, t),
-        _stable_end_m1(w, t),
+        _stable_end_m1(w, u, _ufunc(np.exp, -2.0 * w * u), eu, pu),
+        _stable_mid_m1(w, u, eu, pu),
+        _stable_mid_m1(w, t, et, pt),
+        _stable_end_m1(w, t, _ufunc(np.exp, -2.0 * w * t), et, pt),
     ])
 
 
@@ -556,12 +565,14 @@ def _sum_terms(terms) -> np.ndarray:
 
     The order is the one ``np.sum(np.stack(terms, -1), -1)`` uses, spelled
     out so that no (..., n) stack is built: below 8 terms a sequential
-    sum from +0.0; otherwise eight running partials over the full blocks
-    of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-    remaining terms one by one, and +0.0 added last (numpy's sum of -0.0
-    terms is +0.0).  Keeping that order keeps every output bit, and with
-    it criterion 8's WC/de Casteljau breakpoints, which roundoff decides.
-    No term is added into in place: callers pass live arrays.
+    sum from +0.0; otherwise eight named partials r0..r7, each running
+    over its lane of the full blocks of 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms one by
+    one, and +0.0 added last (numpy's sum of -0.0 terms is +0.0).
+    Keeping that order keeps every output bit, and with it criterion 8's
+    WC/de Casteljau breakpoints, which roundoff decides.  No term is
+    added into in place: callers pass live arrays, and a partial is
+    rebound to a fresh sum, never updated.
     """
     n = len(terms)
     if n < 8:
@@ -570,10 +581,12 @@ def _sum_terms(terms) -> np.ndarray:
             total += term
         return total
     full = n - n % 8
-    r = terms[:8]
+    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
     for i in range(8, full, 8):
-        r = list(map(operator.add, r, terms[i:i + 8]))
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        a0, a1, a2, a3, a4, a5, a6, a7 = terms[i:i + 8]
+        r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+        r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
     for term in terms[full:]:
         total += term
     total += 0.0
@@ -581,81 +594,106 @@ def _sum_terms(terms) -> np.ndarray:
 
 
 @_per_omega
-def _den_p5_m2(w: float) -> float:
-    return math.fsum([math.exp(-4.0 * w), -8.0 * math.exp(-3.0 * w),
-                      -12.0 * w * math.exp(-2.0 * w), 8.0 * math.exp(-w), -1.0])
+def _omega_p5_m2(w: float) -> tuple:
+    """The omega-only factors of ``_stable_p5_m2``: -12w and the
+    denominator."""
+    return -12.0 * w, math.fsum([math.exp(-4.0 * w), -8.0 * math.exp(-3.0 * w),
+                                 -12.0 * w * math.exp(-2.0 * w), 8.0 * math.exp(-w), -1.0])
 
 
-def _stable_p5_m2(w: float, t: np.ndarray) -> np.ndarray:
-    et = _ufunc(np.exp, -w * t)
+def _stable_p5_m2(w: float, t, et, ep2):
+    """Last m=2 curve-basis function; the caller passes e^{-wt} and
+    e^{2w(t-1)}."""
+    k2, den = _omega_p5_m2(w)
     et2 = et * et
-    num = _sum_terms([et2 * et2, -8.0 * et2 * et, -12.0 * w * t * et2,
-                      8.0 * et, -1.0])
-    return num / _den_p5_m2(w) * _ufunc(np.exp, 2.0 * w * (t - 1.0))
+    num = _sum_terms([et2 * et2, -8.0 * et2 * et, k2 * t * et2, 8.0 * et, -1.0])
+    return num / den * ep2
 
 
 @_per_omega
-def _den_p3_m2(w: float) -> float:
+def _omega_p3_m2(w: float) -> tuple:
+    """The omega-only factors of ``_stable_p3_m2``: 1/w, e^{-w} ... e^{-5w},
+    3/w and 9/w (inside t-dependent coefficients), the whole coefficient
+    k_i of term i where it depends on omega alone, and the denominator.
+    Each is the value the term's own left-to-right evaluation gives."""
     iw = 1.0 / w
     ew = math.exp(-w)
     e2 = ew * ew
     e3 = e2 * ew
     e4 = e2 * e2
     e5 = e4 * ew
-    return 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
-                            (27.0 * iw + 31.0 + 6.0 * w) * e4,
-                            -2.0 * (15.0 * iw - 23.0 - 15.0 * w) * e3,
-                            -2.0 * (15.0 * iw + 23.0 - 15.0 * w) * e2,
-                            (27.0 * iw - 31.0 + 6.0 * w) * ew,
-                            3.0 * iw - 1.0])
+    den = 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
+                           (27.0 * iw + 31.0 + 6.0 * w) * e4,
+                           -2.0 * (15.0 * iw - 23.0 - 15.0 * w) * e3,
+                           -2.0 * (15.0 * iw + 23.0 - 15.0 * w) * e2,
+                           (27.0 * iw - 31.0 + 6.0 * w) * ew,
+                           3.0 * iw - 1.0])
+    return (iw, ew, e2, e3, e4, e5, 3.0 * iw, 9.0 * iw,
+            -4.0 * iw,                          # k1, and k22
+            -4.0 * (2.0 * iw + 1.0),            # k3
+            -4.0 * (iw + 3.0),                  # k5
+            3.0 * iw + 4.0,                     # k6
+            5.0 * iw + 2.0,                     # k7
+            4.0 * (iw - 1.0),                   # k8
+            4.0 * (3.0 * iw + 1.0),             # k10
+            -(9.0 * iw + 2.0),                  # k11
+            -(9.0 * iw - 2.0),                  # k12
+            4.0 * (3.0 * iw - 1.0),             # k13
+            4.0 * (iw + 1.0),                   # k15
+            5.0 * iw - 2.0,                     # k16
+            3.0 * iw - 4.0,                     # k17
+            -4.0 * (iw - 3.0),                  # k18
+            -4.0 * (2.0 * iw - 1.0),            # k20
+            den)
 
 
-def _stable_p3_m2(w: float, t: np.ndarray) -> np.ndarray:
-    iw = 1.0 / w
-    ew = math.exp(-w)
-    e2 = ew * ew
-    e3 = e2 * ew
-    e4 = e2 * e2
-    e5 = e4 * ew
-    et = _ufunc(np.exp, -w * t)    # e^{-wt}
-    ep1 = _ufunc(np.exp, w * (t - 1.0))
+def _stable_p3_m2(w: float, t, et, ep1):
+    """Third m=2 curve-basis function (index 3); the caller passes e^{-wt}
+    and e^{w(t-1)}."""
+    (iw, ew, e2, e3, e4, e5, iw3, iw9, k1, k3, k5, k6, k7, k8, k10, k11, k12,
+     k13, k15, k16, k17, k18, k20, den) = _omega_p3_m2(w)
     ep2 = ep1 * ew
     ep3 = ep1 * e2
     ep4 = ep1 * e3
     ep5 = ep1 * e4
     et2 = et * et
     dp1 = ep1 * ep1                # e^{2w(t-1)}
+    lin = 2.0 * (5.0 * t - 6.0)
     num = _sum_terms([
-        (3.0 * iw + 2.0 * t) * e5,
-        -4.0 * iw * ep5,
-        iw * (dp1 * e3),                                # e^{w(2t-5)}
-        -4.0 * (2.0 * iw + 1.0) * (et * e4),            # e^{-w(t+4)}
-        (9.0 * iw - 2.0 * (5.0 * t - 6.0)) * e4,
-        -4.0 * (iw + 3.0) * ep4,
-        (3.0 * iw + 4.0) * (dp1 * e2),                  # e^{2w(t-2)}
-        (5.0 * iw + 2.0) * (et2 * e3),                  # e^{-w(2t+3)}
-        4.0 * (iw - 1.0) * (et * e3),                   # e^{-w(t+3)}
-        -4.0 * (3.0 * iw - 5.0 * t) * e3,
-        4.0 * (3.0 * iw + 1.0) * ep3,
-        -(9.0 * iw + 2.0) * (dp1 * ew),                 # e^{w(2t-3)}
-        -(9.0 * iw - 2.0) * (et2 * e2),                 # e^{-2w(t+1)}
-        4.0 * (3.0 * iw - 1.0) * (et * e2),             # e^{-w(t+2)}
-        -4.0 * (3.0 * iw + 5.0 * t) * e2,
-        4.0 * (iw + 1.0) * ep2,
-        (5.0 * iw - 2.0) * dp1,                         # e^{2w(t-1)}
-        (3.0 * iw - 4.0) * (et2 * ew),                  # e^{-w(2t+1)}
-        -4.0 * (iw - 3.0) * (et * ew),                  # e^{-w(t+1)}
-        (9.0 * iw + 2.0 * (5.0 * t - 6.0)) * ew,
-        -4.0 * (2.0 * iw - 1.0) * ep1,
+        (iw3 + 2.0 * t) * e5,
+        k1 * ep5,
+        iw * (dp1 * e3),           # e^{w(2t-5)}
+        k3 * (et * e4),            # e^{-w(t+4)}
+        (iw9 - lin) * e4,
+        k5 * ep4,
+        k6 * (dp1 * e2),           # e^{2w(t-2)}
+        k7 * (et2 * e3),           # e^{-w(2t+3)}
+        k8 * (et * e3),            # e^{-w(t+3)}
+        -4.0 * (iw3 - 5.0 * t) * e3,
+        k10 * ep3,
+        k11 * (dp1 * ew),          # e^{w(2t-3)}
+        k12 * (et2 * e2),          # e^{-2w(t+1)}
+        k13 * (et * e2),           # e^{-w(t+2)}
+        -4.0 * (iw3 + 5.0 * t) * e2,
+        k15 * ep2,
+        k16 * dp1,                 # e^{2w(t-1)}
+        k17 * (et2 * ew),          # e^{-w(2t+1)}
+        k18 * (et * ew),           # e^{-w(t+1)}
+        (iw9 + lin) * ew,
+        k20 * ep1,
         iw * et2,
-        -4.0 * iw * et,
-        3.0 * iw - 2.0 * t,
+        k1 * et,
+        iw3 - 2.0 * t,
     ])
-    return num / _den_p3_m2(w)
+    return num / den
 
 
 @_per_omega
-def _den_p4_m2(w: float) -> float:
+def _omega_p4_m2(w: float) -> tuple:
+    """The omega-only factors of ``_stable_p4_m2``: e^{-w} ... e^{-5w}, the
+    whole coefficient k_i of term i, or the whole term where it is free of
+    t, wherever it depends on omega alone, and the denominator.  Each is
+    the value the term's own left-to-right evaluation gives."""
     ew = math.exp(-w)
     e2 = ew * ew
     e3 = e2 * ew
@@ -663,75 +701,89 @@ def _den_p4_m2(w: float) -> float:
     e5 = e4 * ew
     e6 = e3 * e3
     e7 = e4 * e3
-    return math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
-                      (79.0 - 156.0 * w - 72.0 * w * w) * e4,
-                      (79.0 + 156.0 * w - 72.0 * w * w) * e3,
-                      -27.0 * (3.0 - 2.0 * w) * e2,
-                      (1.0 - 6.0 * w) * ew, 1.0])
+    den = math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
+                     (79.0 - 156.0 * w - 72.0 * w * w) * e4,
+                     (79.0 + 156.0 * w - 72.0 * w * w) * e3,
+                     -27.0 * (3.0 - 2.0 * w) * e2,
+                     (1.0 - 6.0 * w) * ew, 1.0])
+    return (ew, e2, e3, e4, e5,
+            -6.0 * e5,                          # term 2
+            38.0 * e4,                          # term 7
+            -(1.0 + 6.0 * w),                   # k9
+            24.0 * (1.0 + w),                   # k10
+            -8.0 * (7.0 - 3.0 * w) * e3,        # term 12
+            3.0 * (3.0 - 2.0 * w),              # k13
+            3.0 * (3.0 + 2.0 * w),              # k14
+            -8.0 * (7.0 + 3.0 * w),             # k15
+            24.0 * (1.0 - w) * e2,              # term 17
+            -(1.0 - 6.0 * w),                   # k18
+            -2.0 * ew,                          # term 22
+            den)
 
 
-def _stable_p4_m2(w: float, t: np.ndarray) -> np.ndarray:
-    ew = math.exp(-w)
-    e2 = ew * ew
-    e3 = e2 * ew
-    e4 = e2 * e2
-    e5 = e4 * ew
-    et = _ufunc(np.exp, -w * t)
+def _stable_p4_m2(w: float, t, et, ep1):
+    """Fifth m=2 curve-basis function (index 4); the caller passes e^{-wt}
+    and e^{w(t-1)}."""
+    (ew, e2, e3, e4, e5, term2, term7, k9, k10, term12, k13, k14, k15, term17,
+     k18, term22, den) = _omega_p4_m2(w)
     et2 = et * et
     et3 = et2 * et
-    ep1 = _ufunc(np.exp, w * (t - 1.0))
     wt = w * t
+    lin = w * (5.0 * t - 3.0)
     num = _sum_terms([
         2.0 * (et2 * e5),                       # e^{-w(2t+5)}
         3.0 * (1.0 + 2.0 * wt) * (et * e5),     # e^{-w(t+5)}
-        -6.0 * e5,
+        term2,
         ep1 * e4,                               # e^{w(t-5)}
         -2.0 * (et3 * e4),                      # e^{-w(3t+4)}
         -2.0 * (et2 * e4),                      # e^{-2w(t+2)}
         -3.0 * (9.0 + 10.0 * wt) * (et * e4),   # e^{-w(t+4)}
-        38.0 * e4,
+        term7,
         -7.0 * (ep1 * e3),                      # e^{w(t-4)}
-        -(1.0 + 6.0 * w) * (et3 * e3),          # e^{-3w(t+1)}
-        24.0 * (1.0 + w) * (et2 * e3),          # e^{-w(2t+3)}
-        12.0 * (2.0 + w * (5.0 * t - 3.0)) * (et * e3),
-        -8.0 * (7.0 - 3.0 * w) * e3,
-        3.0 * (3.0 - 2.0 * w) * (ep1 * e2),     # e^{w(t-3)}
-        3.0 * (3.0 + 2.0 * w) * (et3 * e2),     # e^{-w(3t+2)}
-        -8.0 * (7.0 + 3.0 * w) * (et2 * e2),    # e^{-2w(t+1)}
-        12.0 * (2.0 - w * (5.0 * t - 3.0)) * (et * e2),
-        24.0 * (1.0 - w) * e2,
-        -(1.0 - 6.0 * w) * (ep1 * ew),          # e^{w(t-2)}
+        k9 * (et3 * e3),                        # e^{-3w(t+1)}
+        k10 * (et2 * e3),                       # e^{-w(2t+3)}
+        12.0 * (2.0 + lin) * (et * e3),
+        term12,
+        k13 * (ep1 * e2),                       # e^{w(t-3)}
+        k14 * (et3 * e2),                       # e^{-w(3t+2)}
+        k15 * (et2 * e2),                       # e^{-2w(t+1)}
+        12.0 * (2.0 - lin) * (et * e2),
+        term17,
+        k18 * (ep1 * ew),                       # e^{w(t-2)}
         -7.0 * (et3 * ew),                      # e^{-w(3t+1)}
         38.0 * (et2 * ew),                      # e^{-w(2t+1)}
         -3.0 * (9.0 - 10.0 * wt) * (et * ew),   # e^{-w(t+1)}
-        -2.0 * ew,
+        term22,
         -2.0 * ep1,
         et3,
         -6.0 * et2,
         3.0 * (1.0 - 2.0 * wt) * et,
         2.0,
     ])
-    return num / _den_p4_m2(w) * ep1
+    return num / den * ep1
 
 
 def _curve_basis_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
+    # each t-dependent exponential once, shared by the forms at t and 1 - t
     u = 1.0 - t
+    eu, et = _ufunc(np.exp, -w * u), _ufunc(np.exp, -w * t)
+    pu, pt = _ufunc(np.exp, w * (u - 1.0)), _ufunc(np.exp, w * (t - 1.0))
     return _stack([
-        _stable_p5_m2(w, u),
-        _stable_p4_m2(w, u),
-        _stable_p3_m2(w, u),
-        _stable_p3_m2(w, t),
-        _stable_p4_m2(w, t),
-        _stable_p5_m2(w, t),
+        _stable_p5_m2(w, u, eu, _ufunc(np.exp, 2.0 * w * (u - 1.0))),
+        _stable_p4_m2(w, u, eu, pu),
+        _stable_p3_m2(w, u, eu, pu),
+        _stable_p3_m2(w, t, et, pt),
+        _stable_p4_m2(w, t, et, pt),
+        _stable_p5_m2(w, t, et, _ufunc(np.exp, 2.0 * w * (t - 1.0))),
     ])
 
 
 def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
     W = w * w
 
-    def t3(t):
+    def t3(t, t_3):
         a = ((10.0 * t * t - 21.0) * t * t + 11.0)
-        return _ufunc(np.power, t, 3) * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
+        return t_3 * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
 
     def t2(t):
         a = (((30.0 * t - 40.0) * t + 23.0) * t - 12.0) * t - 3.0
@@ -739,31 +791,33 @@ def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
         return 3.0 * t * t * (1.0 - t) * ((a * W + 420.0 * b) * W + 25200.0) / 25200.0
 
     u = 1.0 - t
-    return _stack([t3(u), t2(u), t2(t), t3(t)])
+    u_3, t_3 = _powers([u, t], _CUBES)
+    return _stack([t3(u, u_3), t2(u), t2(t), t3(t, t_3)])
 
 
 def _taylor_m2(w: float, t: np.ndarray) -> np.ndarray:
     W = w * w
 
-    def t5(t):
+    def t5(t, t_5):
         a = (49.0 * t * t - 100.0) * t * t + 51.0
-        return _ufunc(np.power, t, 5) * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
+        return t_5 * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
 
-    def t4(t):
+    def t4(t, t_4):
         a = (((245.0 * t - 196.0) * t - 96.0) * t + 44.0) * t - 1.0
         b = (5.0 * t - 2.0) * t - 1.0
-        return (5.0 * _ufunc(np.power, t, 4) * (1.0 - t)
+        return (5.0 * t_4 * (1.0 - t)
                 * ((a * W + 840.0 * b) * W + 35280.0) / 35280.0)
 
-    def t3(t):
+    def t3(t, t_3):
         a = (((245.0 * t - 392.0) * t + 253.0) * t - 82.0) * t + 3.0
         b = (10.0 * t - 8.0) * t + 3.0
         u = 1.0 - t
-        return (10.0 * _ufunc(np.power, t, 3) * (u * u)
+        return (10.0 * t_3 * (u * u)
                 * ((a * W + 420.0 * b) * W + 35280.0) / 35280.0)
 
     u = 1.0 - t
-    return _stack([t5(u), t4(u), t3(u), t3(t), t4(t), t5(t)])
+    u_5, u_4, u_3, t_5, t_4, t_3 = _powers([u, u, u, t, t, t], _FIFTH_TO_THIRD)
+    return _stack([t5(u, u_5), t4(u, u_4), t3(u, u_3), t3(t, t_3), t4(t, t_4), t5(t, t_5)])
 
 
 def taylor_curve_basis(m: int, omega: float, t) -> np.ndarray:
@@ -826,43 +880,46 @@ def _tau_from_curve_basis(b: np.ndarray, t) -> np.ndarray:
 
 
 @_per_omega
-def _tau_dens_m1(w: float) -> tuple:
-    """The omega-only factors of the stable m=1 weights' denominators."""
+def _omega_tau_m1(w: float) -> tuple:
+    """The omega-only factors of the stable m=1 weights: e^{-w}, the
+    denominators, and every scalar factor their numerators fold up front.
+    Each is the value the numerator's own left-to-right evaluation gives."""
     iw = 1.0 / w
     s1 = math.exp(-w)
+    s2 = s1 * s1
     den_end = math.fsum([s1 * s1, 2.0 * w * s1, -1.0])
     d1 = 2.0 * (s1 + 1.0) * ((2.0 * iw + 1.0) * s1 - 2.0 * iw + 1.0)
-    return den_end, d1
+    qa = 2.0 * iw + 1.0
+    qb = 4.0 * iw + 1.0
+    return (s1, den_end, d1, -2.0 * w * s1, 2.0 * w * s1, s2 - 1.0,
+            qa * s2 - qa + 2.0, qb * s2 - qb + 2.0, iw * (s2 - 1.0), 2.0 * s1,
+            iw * (1.0 + s1))
 
 
 def _tau_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
     # each numerator collected by its distinct array exponential, with
     # the scalar factors folded up front
-    iw = 1.0 / w
-    s1 = math.exp(-w)
-    s2 = s1 * s1
+    s1, den_end, d1, a0, a2, s2m1, pa, pb, pc, s1x2, k1 = _omega_tau_m1(w)
     E = _ufunc(np.exp, -w * t)           # e^{-wt}
     P = _ufunc(np.exp, w * (t - 1.0))    # e^{w(t-1)}
     u = t - 1.0
     tu = t * u
-    den_end, d1 = _tau_dens_m1(w)
-    n0 = (-2.0 * w * s1) * u - E + s1 * P
+    n0 = a0 * u - E + s1 * P
     tau0 = n0 / ((u * u) * den_end)
-    qa = 2.0 * iw + 1.0
-    qb = 4.0 * iw + 1.0
-    p0 = ((qa * s2 - qa + 2.0) * t - (qb * s2 - qb + 2.0)) * t \
-        + iw * (s2 - 1.0) + 2.0 * s1 * tu
-    n1 = p0 + (iw * (1.0 + s1)) * E - (iw * (1.0 + s1)) * P
+    p0 = (pa * t - pb) * t + pc + s1x2 * tu
+    n1 = p0 + k1 * E - k1 * P
     tau1 = n1 / (d1 * tu)
-    n2 = (s2 - 1.0) * (t * t) + (2.0 * w * s1) * tu - s1 * E + P
+    n2 = s2m1 * (t * t) + a2 * tu - s1 * E + P
     tau2 = n2 / ((t * t) * den_end)
     return _stack([tau0, tau1, tau2])
 
 
 @_per_omega
-def _tau_dens_m2(w: float) -> tuple:
-    """The omega-only factors of the stable m=2 weights: the denominators'
-    and the t^4 coefficient of tau_4's numerator."""
+def _omega_tau_m2(w: float) -> tuple:
+    """The omega-only factors of the stable m=2 weights: e^{-w}, e^{-2w},
+    1/w, 2w, the denominators, the t^4 coefficient of tau_4's numerator,
+    and every scalar factor the numerators fold up front.  Each is the
+    value the numerator's own left-to-right evaluation gives."""
     iw = 1.0 / w
     s1 = math.exp(-w)
     s2 = s1 * s1
@@ -873,16 +930,17 @@ def _tau_dens_m2(w: float) -> tuple:
                                3.0 * (2.0 * w - 3.0) * s1, -1.0])
     d2 = 12.0 * math.fsum([(3.0 * iw + 1.0) * s2, 4.0 * s1, -3.0 * iw, 1.0])
     c4 = math.fsum([-s4, 8.0 * s3, -8.0 * s1, 1.0])
-    return den_end, den_mid, d2, c4
+    return (s1, s2, iw, 2.0 * w, den_end, den_mid, d2, c4,
+            -12.0 * w * s2, 12.0 * w * s2, 8.0 * s1, 8.0 * s2, s3 - 1.0,
+            3.0 * (s2 - s1), 3.0 * (s2 + s1), 6.0 * s1 + 2.0, 2.0 * s2 + 6.0 * s1,
+            3.0 * iw, s2 - 1.0, s2 + 1.0 + 4.0 * s1, 4.0 * iw * (s1 + 1.0))
 
 
 def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     # each numerator collected by its distinct array exponentials
     # {1, E, E^2, P, P^2} with the scalar factors folded up front
-    iw = 1.0 / w
-    s1 = math.exp(-w)
-    s2 = s1 * s1
-    s3 = s2 * s1
+    (s1, s2, iw, w2, den_end, den_mid, d2, c4, a0, a4, s1x8, s2x8, s3m1, dif3,
+     sum3, kE, kP, iw3, s2m1, k2b, k2) = _omega_tau_m2(w)
     E = _ufunc(np.exp, -w * t)           # e^{-wt}
     E2 = E * E
     P = _ufunc(np.exp, w * (t - 1.0))    # e^{w(t-1)}
@@ -893,37 +951,34 @@ def _tau_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
     t4 = t2 * t2
     u2 = u * u
     u4 = u2 * u2
-    den_end, den_mid, d2, c4 = _tau_dens_m2(w)
 
-    n0 = (-12.0 * w * s2) * u - (8.0 * s1) * E + E2 + (8.0 * s2) * P - s2 * D
+    n0 = a0 * u - s1x8 * E + E2 + s2x8 * P - s2 * D
     tau0 = n0 / ((u4) * den_end)
 
     poly1 = ((3.0 * t - 12.0) * t + 18.0) * t2 - 12.0 * t + 2.0
-    poly1w = (2.0 * w) * t * (((t - 4.0) * t + 6.0) * t - 3.0)
-    p0 = ((s3 - 1.0) * u4 + (3.0 * (s2 - s1)) * poly1
-          + (3.0 * (s2 + s1)) * poly1w)
-    n1 = p0 + (6.0 * s1 + 2.0) * E - E2 - (2.0 * s2 + 6.0 * s1) * P + s1 * D
+    poly1w = w2 * t * (((t - 4.0) * t + 6.0) * t - 3.0)
+    p0 = s3m1 * u4 + dif3 * poly1 + sum3 * poly1w
+    n1 = p0 + kE * E - E2 - kP * P + s1 * D
     tau1 = n1 / (den_mid * (t * u * u2))
 
     # The e^{-2w} bracket of this numerator carries a plus sign; the
     # printed source has a spurious minus there (it contradicts the
     # defining ratio of the weight, cf. the transcription tests).
-    poly2a = (3.0 * iw) * (((6.0 * t - 16.0) * t + 12.0) * t2 - 1.0)
+    poly2a = iw3 * (((6.0 * t - 16.0) * t + 12.0) * t2 - 1.0)
     poly2b = 2.0 * t * (((3.0 * t - 8.0) * t + 6.0) * t - 1.0)
-    p0 = (s2 - 1.0) * poly2a + (s2 + 1.0 + 4.0 * s1) * poly2b
-    n2 = p0 - (4.0 * iw * (s1 + 1.0)) * E + iw * E2 \
-        + (4.0 * iw * (s1 + 1.0)) * P - iw * D
+    p0 = s2m1 * poly2a + k2b * poly2b
+    n2 = p0 - k2 * E + iw * E2 + k2 * P - iw * D
     tau2 = n2 / (d2 * (t2 * u2))
 
     poly3 = t3 * (3.0 * t - 4.0)
-    poly3a = (2.0 * w) * t * (((3.0 * t - 4.0) * t2) + 1.0)
+    poly3a = w2 * t * (((3.0 * t - 4.0) * t2) + 1.0)
     poly3b = (9.0 * t - 12.0) * t3 + 1.0
-    p0 = (s3 - 1.0) * poly3 + (3.0 * (s2 + s1)) * poly3a + (3.0 * (s2 - s1)) * poly3b
-    n3 = p0 + (2.0 * s2 + 6.0 * s1) * E - s1 * E2 - (6.0 * s1 + 2.0) * P + D
+    p0 = s3m1 * poly3 + sum3 * poly3a + dif3 * poly3b
+    n3 = p0 + kP * E - s1 * E2 - kE * P + D
     tau3 = n3 / (den_mid * (t3 * u))
 
-    p0 = c4 * t4 + (12.0 * w * s2) * (t * (t3 - 1.0))
-    n4 = p0 - (8.0 * s2) * E + s2 * E2 + (8.0 * s1) * P - D
+    p0 = c4 * t4 + a4 * (t * (t3 - 1.0))
+    n4 = p0 - s2x8 * E + s2 * E2 + s1x8 * P - D
     tau4 = n4 / (t4 * den_end)
 
     return _stack([tau0, tau1, tau2, tau3, tau4])

@@ -185,35 +185,61 @@ def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
     return _point_rows(q, shape)
 
 
-def _bernstein_wc(r1: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+def _bernstein_wc(r1: list, ratio):
     """Linear-time polynomial recursion on a reduced Bernstein polygon.
 
-    ``r1`` has shape lead + (dim, 2m+1, t) and ``ratio`` is (1 - t) / t,
-    which stays at most 1 for t in [0.5, 1); points below 0.5 pass the
-    polygon reversed, as the mirror image at 1 - t.
+    ``r1`` lists the 2m+1 points of the polygon: lead + (dim, t) arrays
+    for a grid or a batch, Python floats for one coordinate of one curve
+    at one point.  ``ratio`` is (1 - t) / t, which stays at most 1 for t
+    in [0.5, 1); points below 0.5 pass the polygon reversed, as the
+    mirror image at 1 - t.  Each step adds into a fresh difference, so
+    no point of ``r1`` is written.
     """
-    n = r1.shape[-2] - 1
-    q = r1[..., 0, :].copy()
+    n = len(r1) - 1
+    q = r1[0]
     h = 1.0
     for k in range(1, n + 1):
         h = 1.0 / (1.0 + (k / (n + 1.0 - k)) * ratio / h)
-        q += h * (r1[..., k, :] - q)
+        step = r1[k] - q
+        step *= h
+        step += q                       # q + h (r_k - q), added in that order's bits
+        q = step
     return q
 
 
-def _corner_cut(curve: EphCurve | CurveBatch, cp: np.ndarray, t: np.ndarray,
-                mirror: bool, mode: EvalMode) -> np.ndarray:
-    """Points lead + (dim, t) at parameters ``t`` all on one side of 0.5."""
+def _corner_cut(curve: EphCurve | CurveBatch, t, mirror: bool,
+                mode: EvalMode) -> np.ndarray:
+    """Points at parameters ``t`` all strictly inside (0, 1) on one side of
+    0.5: lead + (dim, t) for a grid, lead + (dim,) for one point.
+
+    The reduced polygon is tau_k (P_k - P_{k+1}) + P_{k+1}, k = 0..2m,
+    reversed for the mirror image at 1 - t.  One point of one curve
+    builds it on Python floats, one coordinate at a time, and runs the
+    recursion on each list of 2m+1 floats.  A grid or a batch builds it
+    as one lead + (dim, 2m+1, t) block, along contiguous t, and runs the
+    same recursion on the list of its 2m+1 points.  The block is one
+    allocation on purpose: with 2m+1 separate point arrays of a batch's
+    size, glibc's malloc kept trimming and re-faulting heap pages, and
+    every evaluator in the process ran up to a third slower.
+    """
     tau = basis.corner_weights(curve.m, curve.omega, t, mode)
-    # (2m+1, t) with t contiguous, so r1 and the recursion run along
-    # contiguous t; one point gives the length-1 t axis of the points
+    s, u = (1.0 - t, t) if mirror else (t, 1.0 - t)
+    ratio = u / s
+    cp = curve.control_points
+    if isinstance(t, float) and cp.ndim == 2:
+        tau = tau.tolist()
+        polygons = [[tk * (a - b) + b for tk, a, b in zip(tau, p, p[1:])]
+                    for p in cp.T.tolist()]
+        return np.array([_bernstein_wc(r1[::-1] if mirror else r1, ratio)
+                         for r1 in polygons])
+    # (2m+1, t) with t contiguous; one point of a batch as a length-1 t axis
     tau = tau.reshape(-1, 1) if isinstance(t, float) else np.ascontiguousarray(tau.T)
-    r1 = tau * (cp[..., :-1, :] - cp[..., 1:, :])
-    r1 += cp[..., 1:, :]
-    s, u = t, 1.0 - t
-    if mirror:                          # the reversed polygon at 1 - t
-        r1, s, u = r1[..., ::-1, :], u, s
-    return _bernstein_wc(r1, u / s)
+    cols = cp.swapaxes(-1, -2)[..., None]          # lead + (dim, 2m+2, 1)
+    block = tau * (cols[..., :-1, :] - cols[..., 1:, :])
+    block += cols[..., 1:, :]
+    r1 = [block[..., k, :] for k in range(block.shape[-2])]
+    q = _bernstein_wc(r1[::-1] if mirror else r1, ratio)
+    return q[..., 0] if isinstance(t, float) else q
 
 
 def eval_new(curve: EphCurve | CurveBatch, t,
@@ -227,29 +253,34 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     one side of 0.5, as a single interior t always does, the points are
     cut as given, with one ``corner_weights`` call and no gather or
     scatter by branch; a single interior t takes one comparison chain to
-    its side and stays a Python float throughout.  Near t = 0 the
-    corner weights underflow (see ``corner_weights``): the result is NaN
-    from about t = 1e-161 down for m=1 and from about t = 1e-81 for m=2
-    (measured at omega from 1e-3 to 300), where ``eval_direct`` stays
-    finite.  Before the NaN, m=1 goes wrong: against ``eval_direct``,
-    with a random polygon in [0, 1]^3, the error is 3e-4 (omega = 4) and
-    9e-7 (omega = 40) at t = 1e-30, and O(1), 0.4, by t = 1e-50 at both
-    and by t = 1e-160 at omega = 300.
+    its side and is cut on Python floats (see ``_corner_cut``).  Near
+    t = 0 the corner weights underflow (see ``corner_weights``): the
+    result is NaN from about t = 1e-161 down for m=1 and from about
+    t = 1e-81 for m=2 (measured at omega from 1e-3 to 300), where
+    ``eval_direct`` stays finite.  Before the NaN, m=1 goes wrong:
+    against ``eval_direct``, with a random polygon in [0, 1]^3, the error
+    is 3e-4 (omega = 4) and 9e-7 (omega = 40) at t = 1e-30, and O(1),
+    0.4, by t = 1e-50 at both and by t = 1e-160 at omega = 300.
     """
-    shape, tv, cp = _point_columns(curve, t)
-    if isinstance(tv, float):
-        if 0.0 < tv < 1.0:
-            return _point_rows(_corner_cut(curve, cp, tv, tv < 0.5, mode), shape)
-        tv = np.array([tv])             # an end: the masks pick its control point
+    t = basis._check_t(t)
+    if isinstance(t, float):
+        if 0.0 < t < 1.0:
+            return _corner_cut(curve, t, t < 0.5, mode)
+        shape, tv = (), np.array([t])   # an end: the masks pick its control point
+    else:
+        shape, tv = t.shape, t.reshape(-1)
     below = (tv > 0.0) & (tv < 0.5)
     above = (tv >= 0.5) & (tv < 1.0)
     if below.all() or above.all():      # one side only: no gather, no scatter
-        return _point_rows(_corner_cut(curve, cp, tv, below.all(), mode), shape)
-    # end control points at the ends; every other point is overwritten
-    out = np.where(tv == 0.0, cp[..., 0, :], cp[..., -1, :])
+        return _point_rows(_corner_cut(curve, tv, below.all(), mode), shape)
+    # end control points where t is 0 or 1; every other point is overwritten
+    cp = curve.control_points
+    out = np.empty(cp.shape[:-2] + (cp.shape[-1], tv.size))
+    out[..., tv == 0.0] = cp[..., 0, :, None]
+    out[..., tv == 1.0] = cp[..., -1, :, None]
     for sel, mirror in ((below, True), (above, False)):
         if sel.any():
-            out[..., sel] = _corner_cut(curve, cp, tv[sel], mirror, mode)
+            out[..., sel] = _corner_cut(curve, tv[sel], mirror, mode)
     return _point_rows(out, shape)
 
 

@@ -118,9 +118,9 @@ def test_new_branch_boundary_consistency(rng):
         t = np.array([0.5])
         tau = basis.corner_weights(m, 3.0, t).T
         cp = curve.control_points.T[..., None]
-        r1 = tau * cp[:, :-1] + (1.0 - tau) * cp[:, 1:]
+        r1 = list((tau * cp[:, :-1] + (1.0 - tau) * cp[:, 1:]).swapaxes(0, 1))
         upper = _bernstein_wc(r1, (1.0 - t) / t)
-        lower = _bernstein_wc(r1[:, ::-1], t / (1.0 - t))
+        lower = _bernstein_wc(r1[::-1], t / (1.0 - t))
         assert np.max(np.abs(upper - lower)) < 1e-12
 
 
@@ -225,28 +225,66 @@ def test_batch_matches_per_curve_bitwise(rng, d, m):
 ONE_POINT_FORMS = (float, np.float64, np.asarray,
                    lambda t: np.array([t]), lambda t: np.array([[t]]))
 # from the smallest t up: there the corner weights divide by powers of t
-# that underflow to zero, and one point must give the grid's NaN
+# that underflow to zero, and one point must give the grid's NaN; the
+# lower neighbour of 0.5 is the last t cut as the mirror image
 ONE_POINT_TS = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 0.013, 0.1, 0.2, 0.3, 0.4,
-                0.5, 0.6, 0.7, 0.77, 0.9, 1.0 - 1e-16, 1.0)
+                float(np.nextafter(0.5, 0.0)), 0.5, 0.6, 0.7, 0.77, 0.9, 1.0 - 1e-16, 1.0)
 # grids wholly on one side of 0.5, which eval_new cuts without a gather
 ONE_SIDE_GRIDS = (np.linspace(0.01, 0.49, 7), np.linspace(0.5, 0.97, 7))
 
 
+def degenerate_polygon(rng, m, d):
+    """A polygon with two coincident control points, so one leg of the
+    corner cut is zero, and -0.0 coordinates, the last point all -0.0."""
+    pts = rng.uniform(-1, 1, (2 * m + 2, d))
+    pts[2] = pts[1]
+    pts[0, 1] = -0.0
+    pts[3, 0] = -0.0
+    pts[-1] = -0.0
+    return pts
+
+
+def _unchanged_inputs(monkeypatch):
+    """Wrap ``_bernstein_wc`` to check that no array handed to it is
+    written; returns the list of calls seen."""
+    from ephcurve import evaluators
+    calls = []
+    recursion = evaluators._bernstein_wc
+
+    def checked(r1, ratio):
+        kept = [np.copy(p) for p in r1]
+        q = recursion(r1, ratio)
+        for p, copy in zip(r1, kept):
+            assert_same_bits(p, copy)
+        calls.append(len(r1))
+        return q
+
+    monkeypatch.setattr(evaluators, "_bernstein_wc", checked)
+    return calls
+
+
 @pytest.mark.parametrize("mode", list(EvalMode))
+@pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m", [1, 2])
-def test_one_point_matches_grid_bitwise(rng, m, mode):
+def test_one_point_matches_grid_bitwise(rng, monkeypatch, m, d, mode):
     # one point, and a grid on one side of 0.5, give the bits of the same
-    # t inside a grid that crosses 0.5, NaN included; eval_direct
-    # contracts through BLAS, whose rounding of a row depends on how many
-    # rows it gets, so its reference is the grid's basis rows contracted
-    # alone
+    # t inside a grid that crosses 0.5, NaN and the sign of zero included,
+    # on random polygons and on one with a zero leg and -0.0 coordinates;
+    # eval_direct contracts through BLAS, whose rounding of a row depends
+    # on how many rows it gets, so its reference is the grid's basis rows
+    # contracted alone.  No evaluator writes the control points, and
+    # eval_new writes no point of the polygon its recursion reads.
+    calls = _unchanged_inputs(monkeypatch)
     grid = np.concatenate([ONE_POINT_TS, np.linspace(0.0, 1.0, 41)]
                           + list(ONE_SIDE_GRIDS))
     for w in (1e-4, 0.05, 0.7, 4.0, 150.0):
-        pts = rng.uniform(-1, 1, (3, 2 * m + 2, 3))
-        for curve in (EphCurve(m=m, omega=w, dim=3, control_points=pts[0]),
-                      CurveBatch(m=m, omega=w, dim=3, control_points=pts)):
+        pts = rng.uniform(-1, 1, (3, 2 * m + 2, d))
+        pts[1] = degenerate_polygon(rng, m, d)
+        for curve in (EphCurve(m=m, omega=w, dim=d, control_points=pts[0]),
+                      EphCurve(m=m, omega=w, dim=d, control_points=pts[1]),
+                      CurveBatch(m=m, omega=w, dim=d, control_points=pts)):
             lead = curve.control_points.shape[:-2]
+            kept = curve.control_points.copy()
             with np.errstate(all="ignore"):
                 rows = basis.curve_basis(m, w, grid, mode)
                 for method in EvalMethod:
@@ -260,13 +298,41 @@ def test_one_point_matches_grid_bitwise(rng, m, mode):
                     for i, t in enumerate(ONE_POINT_TS):
                         for form in ONE_POINT_FORMS:
                             got = evaluate(curve, form(t), method, mode)
-                            assert got.shape == lead + np.shape(form(t)) + (3,)
-                            assert_same_bits(got.reshape(lead + (3,)), ref(i))
+                            assert got.shape == lead + np.shape(form(t)) + (d,)
+                            assert_same_bits(got.reshape(lead + (d,)), ref(i))
                     start = len(ONE_POINT_TS) + 41
                     for ts in ONE_SIDE_GRIDS:
                         at = slice(start, start + ts.size)
                         assert_same_bits(evaluate(curve, ts, method, mode), ref(at))
                         start += ts.size
+            assert_same_bits(curve.control_points, kept)
+    assert calls
+
+
+def test_layer_spans_are_reached(rng, monkeypatch):
+    # perfbench/layers.py wraps these two private functions by name as
+    # layer spans; each must exist and be reached through the module
+    # global, where a wrapper replaces it
+    from ephcurve import evaluators
+    seen = []
+    for name in ("_bernstein_wc", "_decasteljau_weights"):
+        original = getattr(evaluators, name)
+        assert callable(original)
+
+        def span(*args, _name=name, _original=original):
+            seen.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(evaluators, name, span)
+    for m in (1, 2):
+        curve = random_curve(rng, m, 4.0)
+        for t in (0.3, 0.7, np.array([0.3]), np.linspace(0.0, 1.0, 11)):
+            seen.clear()
+            eval_new(curve, t)
+            assert "_bernstein_wc" in seen and "_decasteljau_weights" not in seen
+            seen.clear()
+            eval_decasteljau(curve, t)
+            assert seen == ["_decasteljau_weights"]
 
 
 def test_new_keeps_one_point_0d(rng, monkeypatch):
