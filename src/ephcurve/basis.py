@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,6 +213,11 @@ _C_U = [(3.0 ** (2 * k + 1) + 9.0) / (4.0 ** (k + 1) * math.factorial(2 * k + 1)
 
 _SERIES_OMEGA = 1.0   # below this, use the series for the cancelling numerators
 
+# Below the smallest normal double, omega * t keeps too few digits to follow
+# t (at omega = 5e-324 it rounds to 0 or to omega), so the two-function
+# bases return their omega -> 0 limit (1 - t, t) there.
+_MIN_NORMAL_OMEGA = sys.float_info.min
+
 # (m, omega) records kept per order: a sweep over more omegas evicts the
 # least recently used, so the cache's memory stays bounded
 _CONSTANTS_CACHE_SIZE = 256
@@ -391,7 +397,8 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
     coincide with the m=1 hodograph basis.  Values are stacked along the
     last axis and are exactly (1, 0, ...) at t=0 and (..., 0, 1) at t=1;
     the forms used only ever exponentiate non-positive arguments, so any
-    omega is safe.
+    omega is safe.  Below the smallest normal double the m=1 functions
+    are their omega -> 0 limit (1 - t, t).
     """
     _check_m(m)
     omega = _check_omega(omega)
@@ -399,6 +406,8 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
     if m == 2:
         return hodograph_basis(1, omega, t)
     w = omega
+    if w < _MIN_NORMAL_OMEGA:
+        return _stack([1.0 - t, t])
     den = -math.expm1(-w)
     p0 = _ufunc(np.exp, -0.5 * w * t) * (-_ufunc(np.expm1, -w * (1.0 - t))) / den
     p1 = _ufunc(np.exp, -0.5 * w * (1.0 - t)) * (-_ufunc(np.expm1, -w * t)) / den

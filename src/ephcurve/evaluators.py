@@ -51,9 +51,14 @@ class EvalMethod(enum.Enum):
 # corner-cutting chain for the de Casteljau-like algorithm
 # ---------------------------------------------------------------------------
 
-def _two_space_basis(omega: float, t: np.ndarray) -> np.ndarray:
-    """Normalized B-basis of span{1, sinh(omega t)} on [0, 1]."""
-    n1 = np.exp(omega * (t - 1.0)) * np.expm1(-2.0 * omega * t) / math.expm1(-2.0 * omega)
+def _two_space_basis(omega: float, t) -> np.ndarray:
+    """Normalized B-basis of span{1, sinh(omega t)} on [0, 1]; its omega -> 0
+    limit (1 - t, t) below the smallest normal double, as the preimage
+    basis."""
+    if omega < basis._MIN_NORMAL_OMEGA:
+        return basis._stack([1.0 - t, t])
+    n1 = (basis._ufunc(np.exp, omega * (t - 1.0))
+          * basis._ufunc(np.expm1, -2.0 * omega * t) / math.expm1(-2.0 * omega))
     return basis._exact_ends(t, basis._stack([1.0 - n1, n1]))
 
 
@@ -79,24 +84,45 @@ def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
     ])
 
 
-def _corner_chain(m: int, omega: float, t: np.ndarray,
-                  mode: EvalMode) -> list:
-    """Bases of the nested chain, from 1 function up to the curve basis.
+def _corner_chain(m: int, omega: float, t, mode: EvalMode) -> list:
+    """Bases of the nested chain, from 1 function up to the curve basis:
+    (t, k) rows for a grid, lists of k Python floats for one point.
 
     For m=2 the hodograph level is built from the m=1 level before it,
     by the products ``hodograph_basis(2, ...)`` uses."""
+    point = isinstance(t, float)
     h1 = basis.hodograph_basis(1, omega, t)
-    chain = [np.ones(np.shape(t) + (1,)), _two_space_basis(omega, t), h1]
+    chain = [[1.0] if point else np.ones(t.shape + (1,)),
+             _two_space_basis(omega, t), h1]
     if m == 2:
         h = basis._hodograph_products(*basis._columns(h1))
         chain.append(_four_space_basis(omega, h))
         chain.append(h)
     chain.append(basis.curve_basis(m, omega, t, mode))
+    if point:
+        chain[1:] = [b.tolist() for b in chain[1:]]
     return chain
 
 
-def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
-                         mode: EvalMode) -> list:
+def _split_weight(b1, carried, b):
+    """``clip(where(b > 0, 1 - (b1 - carried) / b, 0), 0, 1)``: arrays for a
+    grid, Python floats for one point.  On floats the where and the clip
+    are conditional expressions with numpy's bits: NaN passes the clip,
+    -0.0 stays, and no division is made where b is not positive."""
+    if type(b) is float:
+        if not b > 0.0:
+            return 0.0
+        raw = 1.0 - (b1 - carried) / b
+        if raw >= 0.0:
+            return raw if raw <= 1.0 else 1.0
+        return raw if raw != raw else 0.0
+    raw = 1.0 - (b1 - carried) / b
+    raw = np.where(b > 0.0, raw, 0.0)
+    np.clip(raw, 0.0, 1.0, out=raw)
+    return raw
+
+
+def _decasteljau_weights(m: int, omega: float, t, mode: EvalMode) -> list:
     """Per-level convex-combination weights lambda[p], p = 0..2m.
 
     Level p connects the chain bases with p+1 and p+2 functions: basis
@@ -105,23 +131,24 @@ def _decasteljau_weights(m: int, omega: float, t: np.ndarray,
     forward substitution in j.  The true weights are convex for the
     nested chain, so the solution is clipped to [0, 1]: where a basis
     value underflows the raw quotient is pure noise, and that node
-    carries no mass anyway.  Each level is stored as (p+1, t) rows, so
-    the point loops read t-contiguous weights.
+    carries no mass anyway.  On a grid each level is stored as (p+1, t)
+    rows, so the point loops read t-contiguous weights; at one point
+    (t a Python float) the chain's levels and the weights are lists of
+    floats, and the same recurrence runs on them (see ``_split_weight``).
     """
     chain = _corner_chain(m, omega, t, mode)
+    point = isinstance(t, float)
+    if not point:
+        chain = [basis._columns(b) for b in chain]
     weights = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p in range(2 * m + 1):
-            bp = chain[p]
-            bp1 = chain[p + 1]
-            lam = np.empty((p + 1,) + np.shape(t))
-            carried = np.zeros_like(t)            # lam[j-1] * B_{p,j-1}
-            for j in range(p + 1):
-                raw = 1.0 - (bp1[..., j] - carried) / bp[..., j]
-                raw = np.where(bp[..., j] > 0.0, raw, 0.0)
-                np.clip(raw, 0.0, 1.0, out=raw)
+        for bp, bp1 in zip(chain, chain[1:]):
+            lam = [0.0] * len(bp) if point else np.empty((len(bp),) + t.shape)
+            carried = 0.0 if point else np.zeros_like(t)    # lam[j-1] * B_{p,j-1}
+            for j, b in enumerate(bp):
+                raw = _split_weight(bp1[j], carried, b)
                 lam[j] = raw
-                carried = raw * bp[..., j]
+                carried = raw * b
             weights.append(lam)
     return weights
 
@@ -132,7 +159,9 @@ def _point_columns(curve: EphCurve | CurveBatch, t):
     The corner-cutting evaluators keep points as lead + (dim, t), with
     lead = (N,) for a batch and () for one curve, so every product runs
     along t.  A single t stays a Python float, so every per-t factor is
-    one and the points keep their length-1 t axis."""
+    one and the points keep their length-1 t axis; one point of one
+    curve does not read the points from here but runs on Python floats,
+    one coordinate at a time (see ``_per_coordinate``)."""
     t = basis._check_t(t)
     cp = curve.control_points.swapaxes(-1, -2)[..., None]
     if isinstance(t, float):
@@ -145,36 +174,77 @@ def _point_rows(q: np.ndarray, shape: tuple) -> np.ndarray:
     return q.swapaxes(-1, -2).reshape(q.shape[:-2] + shape + q.shape[-2:-1])
 
 
-def eval_decasteljau(curve: EphCurve | CurveBatch, t,
-                     mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Corner-cutting evaluation: 2m+1 levels of convex combinations.
+def _per_coordinate(cp: np.ndarray, value) -> np.ndarray:
+    """One point of one curve, on Python floats: ``value`` maps the list of
+    one coordinate's 2m+2 control values to that coordinate of the point,
+    and the dim results are packed as a fresh (dim,) array."""
+    return np.array([value(p) for p in cp.T.tolist()])
 
-    The first level is cut straight from the polygon and later levels
-    overwrite their inputs point by point, so no level holds more than
-    2m+1 points per parameter and curve.
-    """
-    shape, tv, cp = _point_columns(curve, t)
-    lam = _decasteljau_weights(curve.m, curve.omega, tv, mode)
-    n = 2 * curve.m + 1
+
+def _decasteljau_levels(points: list, lam: list):
+    """The 2m+1 levels of convex combinations on the 2m+2 ``points``:
+    lead + (dim, 1) arrays, or Python floats for one coordinate of one
+    curve at one point.  The first level is cut straight from the polygon
+    and later levels overwrite their own points, never ``points``."""
+    n = len(points) - 1
     pts = []
     for j in range(n):
         lv = lam[n - 1][j]
-        c = (1.0 - lv) * cp[..., j, :]
-        c += lv * cp[..., j + 1, :]
+        c = (1.0 - lv) * points[j]
+        c += lv * points[j + 1]
         pts.append(c)
     for p in range(n - 2, -1, -1):
         for j in range(p + 1):
             lv = lam[p][j]
             pts[j] *= 1.0 - lv
             pts[j] += lv * pts[j + 1]
-    return _point_rows(pts[0], shape)
+    return pts[0]
+
+
+def eval_decasteljau(curve: EphCurve | CurveBatch, t,
+                     mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
+    """Corner-cutting evaluation: 2m+1 levels of convex combinations.
+
+    No level holds more than 2m+1 points per parameter and curve (see
+    ``_decasteljau_levels``).  One t of one curve, interior or an end,
+    runs on Python floats: the weights are lists of floats and the levels
+    run one coordinate at a time; grids and batches run the same levels
+    on lead + (dim, t) points.
+    """
+    shape, tv, cp = _point_columns(curve, t)
+    lam = _decasteljau_weights(curve.m, curve.omega, tv, mode)
+    if isinstance(tv, float) and curve.control_points.ndim == 2:
+        return _per_coordinate(curve.control_points,
+                               lambda p: _decasteljau_levels(p, lam))
+    points = [cp[..., j, :] for j in range(cp.shape[-2])]
+    return _point_rows(_decasteljau_levels(points, lam), shape)
 
 
 def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
                      mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
-    """Linear-time evaluation via partial-sum ratios of the curve basis."""
+    """Linear-time evaluation via partial-sum ratios of the curve basis.
+
+    One t of one curve, interior or an end, runs on Python floats: the
+    partial sums are a running sum, in ``np.cumsum``'s sequential order,
+    and a ratio is taken only where its partial sum is positive.
+    """
     shape, tv, cp = _point_columns(curve, t)
     b = basis.curve_basis(curve.m, curve.omega, tv, mode)
+    if isinstance(tv, float) and curve.control_points.ndim == 2:
+        b = b.tolist()
+        h = []
+        s = b[0]
+        for bk in b[1:]:
+            s += bk
+            h.append(bk / s if s > 0.0 else 0.0)
+
+        def value(p):
+            q = p[0]
+            for hk, pk in zip(h, p[1:]):
+                q = q * (1.0 - hk) + hk * pk
+            return q
+
+        return _per_coordinate(curve.control_points, value)
     s = np.cumsum(b, axis=-1)
     q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (np.size(tv),)).copy()
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -228,10 +298,12 @@ def _corner_cut(curve: EphCurve | CurveBatch, t, mirror: bool,
     cp = curve.control_points
     if isinstance(t, float) and cp.ndim == 2:
         tau = tau.tolist()
-        polygons = [[tk * (a - b) + b for tk, a, b in zip(tau, p, p[1:])]
-                    for p in cp.T.tolist()]
-        return np.array([_bernstein_wc(r1[::-1] if mirror else r1, ratio)
-                         for r1 in polygons])
+
+        def value(p):
+            r1 = [tk * (a - b) + b for tk, a, b in zip(tau, p, p[1:])]
+            return _bernstein_wc(r1[::-1] if mirror else r1, ratio)
+
+        return _per_coordinate(cp, value)
     # (2m+1, t) with t contiguous; one point of a batch as a length-1 t axis
     tau = tau.reshape(-1, 1) if isinstance(t, float) else np.ascontiguousarray(tau.T)
     cols = cp.swapaxes(-1, -2)[..., None]          # lead + (dim, 2m+2, 1)

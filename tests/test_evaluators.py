@@ -333,6 +333,33 @@ def test_layer_spans_are_reached(rng, monkeypatch):
             assert seen == ["_decasteljau_weights"]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_one_point_wc_and_decasteljau_run_on_floats(rng, monkeypatch, m):
+    # one t of one curve, an end included, runs Wozny-Chudy and de
+    # Casteljau on Python floats in every mode: a recorder over the numpy
+    # calls of their grid paths sees none of them, while a grid still
+    # reaches them
+    seen = []
+    for name in ("where", "clip", "zeros_like", "cumsum", "broadcast_to", "ones"):
+        def recorder(*args, _name=name, _original=getattr(np, name), **kwargs):
+            seen.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np, name, recorder)
+    for w in (0.05, 4.0):
+        curve = random_curve(rng, m, w)
+        for mode in EvalMode:
+            for t in (0.0, 0.3, np.float64(0.7), np.array(0.45), 1.0):
+                for f in (eval_wozny_chudy, eval_decasteljau):
+                    f(curve, t, mode)
+                    assert seen == [], (f.__name__, w, mode, t)
+    grid = np.linspace(0.0, 1.0, 11)
+    eval_wozny_chudy(curve, grid)
+    assert {"cumsum", "broadcast_to", "where"} <= set(seen)
+    seen.clear()
+    eval_decasteljau(curve, grid)
+    assert {"ones", "zeros_like", "where", "clip"} <= set(seen)
+
+
 def test_new_keeps_one_point_0d(rng, monkeypatch):
     # a single t reaches the corner weights 0-d; a grid on one side of 0.5
     # takes one call, a grid across it one per side

@@ -7,6 +7,7 @@ import pytest
 from ephcurve.curve import (Preimage, arc_length, curve_from_preimage, derivative,
                             eval_direct, parametric_speed)
 from ephcurve.errors import DegenerateDirectionError, ZeroVectorError
+from ephcurve.evaluators import EvalMethod, evaluate
 from ephcurve.hermite import (AngleChoice, HermiteProblem, PlanarSolutionTag,
                               reproduce_hyperbolic, solve_planar, solve_spatial)
 
@@ -258,27 +259,27 @@ def test_degenerate_middle_direction():
         solve_spatial(problem, AngleChoice(0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("w", [1e-65, 1e-70, 1e-108, 1e-110, 1e-300, 5e-324])
+@pytest.mark.parametrize("w", [1e-65, 1e-70, 1e-108, 1e-110, 1e-300, 1e-310, 5e-324])
 def test_public_calls_at_tiny_omega(w):
-    # where the constants' series underflow, speed, arc length, the PH
-    # polygon and a Hermite solve still give the omega -> 0 values, which
-    # omega = 1e-60 reaches to within a few ulp.  At a subnormal omega the
-    # preimage basis's products omega * t lose their digits, so there the
-    # speed and arc length are only checked to be finite.
+    # where the constants' series underflow, and at a subnormal omega, where
+    # omega * t keeps too few digits to follow t, speed, arc length, the PH
+    # polygon, the four evaluators and a Hermite solve still give the
+    # omega -> 0 values, which omega = 1e-60 reaches to within a few ulp
     ref_w = 1e-60
     coeffs = ((1.0, 0.2, 0.1, 0.3), (0.5, 1.0, 0.2, 0.1), (0.3, 0.1, 1.0, 0.2))
     ts = np.linspace(0.0, 1.0, 11)
-    normal = w >= np.finfo(float).tiny
     for m in (1, 2):
         pre, ref = (Preimage(m=m, omega=v, coeffs=coeffs[:m + 1]) for v in (w, ref_w))
         for t in (ts, 0.3, 1.0):
             for f in (parametric_speed, arc_length):
-                got = f(pre, t)
-                assert np.all(np.isfinite(got))
-                assert not normal or np.allclose(got, f(ref, t), rtol=1e-14, atol=0.0)
-        assert np.allclose(curve_from_preimage(pre, [0.0, 0.1, 0.2]).control_points,
-                           curve_from_preimage(ref, [0.0, 0.1, 0.2]).control_points,
+                assert np.allclose(f(pre, t), f(ref, t), rtol=1e-14, atol=0.0)
+        curve, ref_curve = (curve_from_preimage(p, [0.0, 0.1, 0.2]) for p in (pre, ref))
+        assert np.allclose(curve.control_points, ref_curve.control_points,
                            rtol=1e-14, atol=1e-15)
+        for t in (ts, 0.2, 0.7, 1.0):
+            for method in EvalMethod:
+                assert np.allclose(evaluate(curve, t, method), evaluate(ref_curve, t, method),
+                                   rtol=1e-14, atol=1e-15), (m, t, method)
     problem, ref_problem = (HermiteProblem(
         r0=(0.0, 0.0, 0.0), r_end=(1.0, 1.0, 1.0), di=(-0.8, 0.3, 1.2),
         df=(0.5, -1.3, -1.0), omega=v) for v in (w, ref_w))
