@@ -397,8 +397,7 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
     coincide with the m=1 hodograph basis.  Values are stacked along the
     last axis and are exactly (1, 0, ...) at t=0 and (..., 0, 1) at t=1;
     the forms used only ever exponentiate non-positive arguments, so any
-    omega is safe.  Below the smallest normal double the m=1 functions
-    are their omega -> 0 limit (1 - t, t).
+    omega is safe.
     """
     _check_m(m)
     omega = _check_omega(omega)
