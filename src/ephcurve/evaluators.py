@@ -104,22 +104,12 @@ def _corner_chain(m: int, omega: float, t, mode: EvalMode) -> list:
     return chain
 
 
-def _split_weight(b1, carried, b):
-    """``clip(where(b > 0, 1 - (b1 - carried) / b, 0), 0, 1)``: arrays for a
-    grid, Python floats for one point.  On floats the where and the clip
-    are conditional expressions with numpy's bits: NaN passes the clip,
-    -0.0 stays, and no division is made where b is not positive."""
-    if type(b) is float:
-        if not b > 0.0:
-            return 0.0
-        raw = 1.0 - (b1 - carried) / b
-        if raw >= 0.0:
-            return raw if raw <= 1.0 else 1.0
-        return raw if raw != raw else 0.0
-    raw = 1.0 - (b1 - carried) / b
-    raw = np.where(b > 0.0, raw, 0.0)
-    np.clip(raw, 0.0, 1.0, out=raw)
-    return raw
+def _clip_unit(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` on a Python float, with numpy's bits: NaN
+    passes, -0.0 stays, and +inf becomes 1.0."""
+    if x >= 0.0:
+        return x if x <= 1.0 else 1.0
+    return x if x != x else 0.0
 
 
 def _decasteljau_weights(m: int, omega: float, t, mode: EvalMode) -> list:
@@ -132,21 +122,32 @@ def _decasteljau_weights(m: int, omega: float, t, mode: EvalMode) -> list:
     nested chain, so the solution is clipped to [0, 1]: where a basis
     value underflows the raw quotient is pure noise, and that node
     carries no mass anyway.  On a grid each level is stored as (p+1, t)
-    rows, so the point loops read t-contiguous weights; at one point
-    (t a Python float) the chain's levels and the weights are lists of
-    floats, and the same recurrence runs on them (see ``_split_weight``).
+    rows, so the point loops read t-contiguous weights.  At one point (t a
+    Python float) the chain's levels and the weights are lists of floats,
+    and the same recurrence runs on them with conditional expressions in
+    place of ``np.where`` and ``np.clip``: no division is made where the
+    basis value is not positive.  A grid keeps numpy's statements, in
+    their order, since ``rho-sweep``'s speed moves with the order of its
+    allocations (see ``_corner_cut``).
     """
     chain = _corner_chain(m, omega, t, mode)
     point = isinstance(t, float)
-    if not point:
-        chain = [basis._columns(b) for b in chain]
     weights = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for bp, bp1 in zip(chain, chain[1:]):
-            lam = [0.0] * len(bp) if point else np.empty((len(bp),) + t.shape)
+        for p in range(2 * m + 1):
+            bp = chain[p]
+            bp1 = chain[p + 1]
+            lam = [0.0] * (p + 1) if point else np.empty((p + 1,) + t.shape)
             carried = 0.0 if point else np.zeros_like(t)    # lam[j-1] * B_{p,j-1}
-            for j, b in enumerate(bp):
-                raw = _split_weight(bp1[j], carried, b)
+            for j in range(p + 1):
+                if point:
+                    b = bp[j]
+                    raw = _clip_unit(1.0 - (bp1[j] - carried) / b) if b > 0.0 else 0.0
+                else:
+                    b = bp[..., j]
+                    raw = 1.0 - (bp1[..., j] - carried) / b
+                    raw = np.where(b > 0.0, raw, 0.0)
+                    np.clip(raw, 0.0, 1.0, out=raw)
                 lam[j] = raw
                 carried = raw * b
             weights.append(lam)
@@ -181,11 +182,13 @@ def _per_coordinate(cp: np.ndarray, value) -> np.ndarray:
     return np.array([value(p) for p in cp.T.tolist()])
 
 
-def _decasteljau_levels(points: list, lam: list):
-    """The 2m+1 levels of convex combinations on the 2m+2 ``points``:
-    lead + (dim, 1) arrays, or Python floats for one coordinate of one
-    curve at one point.  The first level is cut straight from the polygon
-    and later levels overwrite their own points, never ``points``."""
+def _decasteljau_levels(points, lam: list) -> list:
+    """The 2m+1 levels of convex combinations on the 2m+2 ``points``: a
+    (2m+2,) + lead + (dim, 1) view of the control points, or a list of
+    Python floats for one coordinate of one curve at one point.  The
+    first level is cut straight from the polygon and later levels
+    overwrite their own points, never ``points``; the value is the first
+    of the returned points."""
     n = len(points) - 1
     pts = []
     for j in range(n):
@@ -198,7 +201,7 @@ def _decasteljau_levels(points: list, lam: list):
             lv = lam[p][j]
             pts[j] *= 1.0 - lv
             pts[j] += lv * pts[j + 1]
-    return pts[0]
+    return pts
 
 
 def eval_decasteljau(curve: EphCurve | CurveBatch, t,
@@ -215,9 +218,11 @@ def eval_decasteljau(curve: EphCurve | CurveBatch, t,
     lam = _decasteljau_weights(curve.m, curve.omega, tv, mode)
     if isinstance(tv, float) and curve.control_points.ndim == 2:
         return _per_coordinate(curve.control_points,
-                               lambda p: _decasteljau_levels(p, lam))
-    points = [cp[..., j, :] for j in range(cp.shape[-2])]
-    return _point_rows(_decasteljau_levels(points, lam), shape)
+                               lambda p: _decasteljau_levels(p, lam)[0])
+    # the level points stay alive while the result is copied out, as
+    # they did when the loop was written inline
+    pts = _decasteljau_levels(np.moveaxis(cp, -2, 0), lam)
+    return _point_rows(pts[0], shape)
 
 
 def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
