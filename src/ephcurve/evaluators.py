@@ -219,8 +219,8 @@ def eval_decasteljau(curve: EphCurve | CurveBatch, t,
     if isinstance(tv, float) and curve.control_points.ndim == 2:
         return _per_coordinate(curve.control_points,
                                lambda p: _decasteljau_levels(p, lam)[0])
-    # the level points stay alive while the result is copied out, as
-    # they did when the loop was written inline
+    # pts stays alive while _point_rows copies pts[0] out, which keeps a
+    # grid's allocation order (see _corner_cut)
     pts = _decasteljau_levels(np.moveaxis(cp, -2, 0), lam)
     return _point_rows(pts[0], shape)
 
