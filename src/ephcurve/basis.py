@@ -406,11 +406,27 @@ def preimage_basis(m: int, omega: float, t) -> np.ndarray:
         return hodograph_basis(1, omega, t)
     w = omega
     if w < _MIN_NORMAL_OMEGA:
-        return _stack([1.0 - t, t])
+        return _omega_zero_limit(t)
     den = -math.expm1(-w)
     p0 = _ufunc(np.exp, -0.5 * w * t) * (-_ufunc(np.expm1, -w * (1.0 - t))) / den
     p1 = _ufunc(np.exp, -0.5 * w * (1.0 - t)) * (-_ufunc(np.expm1, -w * t)) / den
     return _exact_ends(t, _stack([p0, p1]))
+
+
+def _two_space_basis(omega: float, t) -> np.ndarray:
+    """Normalized B-basis of span{1, sinh(omega t)} on [0, 1], the second
+    level of the de Casteljau-like chain."""
+    if omega < _MIN_NORMAL_OMEGA:
+        return _omega_zero_limit(t)
+    n1 = (_ufunc(np.exp, omega * (t - 1.0))
+          * _ufunc(np.expm1, -2.0 * omega * t) / math.expm1(-2.0 * omega))
+    return _exact_ends(t, _stack([1.0 - n1, n1]))
+
+
+def _omega_zero_limit(t) -> np.ndarray:
+    """(1 - t, t), the omega -> 0 limit that the two-function bases return
+    below the smallest normal omega, with the unit rows at the ends."""
+    return _exact_ends(t, _stack([1.0 - t, t]))
 
 
 def hodograph_basis(m: int, omega: float, t) -> np.ndarray:

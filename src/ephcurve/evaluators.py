@@ -51,17 +51,6 @@ class EvalMethod(enum.Enum):
 # corner-cutting chain for the de Casteljau-like algorithm
 # ---------------------------------------------------------------------------
 
-def _two_space_basis(omega: float, t) -> np.ndarray:
-    """Normalized B-basis of span{1, sinh(omega t)} on [0, 1]; its omega -> 0
-    limit (1 - t, t) below the smallest normal double, as the preimage
-    basis."""
-    if omega < basis._MIN_NORMAL_OMEGA:
-        return basis._stack([1.0 - t, t])
-    n1 = (basis._ufunc(np.exp, omega * (t - 1.0))
-          * basis._ufunc(np.expm1, -2.0 * omega * t) / math.expm1(-2.0 * omega))
-    return basis._exact_ends(t, basis._stack([1.0 - n1, n1]))
-
-
 def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
     """Normalized B-basis of span{1, e^{wt}, e^{-wt}, cosh(2wt)} on [0, 1],
     from the m=2 hodograph basis values ``h``.
@@ -93,7 +82,7 @@ def _corner_chain(m: int, omega: float, t, mode: EvalMode) -> list:
     point = isinstance(t, float)
     h1 = basis.hodograph_basis(1, omega, t)
     chain = [[1.0] if point else np.ones(t.shape + (1,)),
-             _two_space_basis(omega, t), h1]
+             basis._two_space_basis(omega, t), h1]
     if m == 2:
         h = basis._hodograph_products(*basis._columns(h1))
         chain.append(_four_space_basis(omega, h))

@@ -45,6 +45,22 @@ def test_preimage_basis_m2_equals_order1_hodograph_basis():
                           basis.hodograph_basis(1, 4.2, ts))
 
 
+@pytest.mark.parametrize("w", [1e-310, 5e-324])
+def test_two_function_bases_end_rows_at_subnormal_omega(w):
+    # below the smallest normal omega the m=1 preimage basis and the
+    # two-space basis return their omega -> 0 limit; its end rows are the
+    # unit rows a normal omega gives, bit for bit, +0.0 at t = -0.0 included
+    bases = (lambda w, t: basis.preimage_basis(1, w, t),
+             lambda w, t: basis._two_space_basis(w, basis._check_t(t)))
+    for f in bases:
+        for v in (-0.0, 0.0, 1.0):
+            for t in _scalar_forms(v) + (np.array([v]), np.array([0.5, v])):
+                got, want = f(w, t), f(0.5, t)
+                assert got.shape == want.shape, (v, t)
+                end = got.reshape(-1, 2)[-1]            # the row at v
+                assert end.tobytes() == want.reshape(-1, 2)[-1].tobytes(), (v, t)
+
+
 # ---------------------------------------------------------------------------
 # hodograph basis
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ constants, the preimage, hodograph, series and curve bases and the corner
 weights in every mode; the four evaluators in every mode on random
 polygons of dims 2 and 3, on a polygon with a zero leg and -0.0
 coordinates, and on a 3-curve batch; speed and arc length; and the rho
-metric of ``bench`` for every method.  ``--quick`` keeps a few omegas and
-t, to try the tool out.
+metric of ``bench`` for every method.
 """
 
 from __future__ import annotations
@@ -80,11 +79,11 @@ def outcome(call) -> str:
     return text
 
 
-def t_inputs(ts, grids):
+def t_inputs():
     """(label, t) for every one-point form of every t, then the grids."""
-    for t, (name, form) in itertools.product(ts, FORMS):
+    for t, (name, form) in itertools.product(TS, FORMS):
         yield "t=%r/%s" % (t, name), form(t)
-    yield from grids
+    yield from GRIDS
 
 
 def polygons(rng, m) -> list:
@@ -99,7 +98,7 @@ def polygons(rng, m) -> list:
             ("batch3", rng.uniform(-1.0, 1.0, (3, 2 * m + 2, 3)), True)]
 
 
-def dump(out, omegas, ts, grids, with_rho: bool) -> int:
+def dump(out) -> int:
     import ephcurve
     from ephcurve import basis, bench, curve, evaluators
     from ephcurve.basis import EvalMode
@@ -114,12 +113,12 @@ def dump(out, omegas, ts, grids, with_rho: bool) -> int:
 
     rng = np.random.default_rng(2024)
     coeffs = ((1.0, 0.2, 0.1, 0.3), (0.5, 1.0, 0.2, 0.1), (0.3, 0.1, 1.0, 0.2))
-    for m, w in itertools.product((1, 2), omegas):
+    for m, w in itertools.product((1, 2), OMEGAS):
         key = "m=%d w=%r" % (m, w)
         line("constants %s" % key, lambda: basis.constants(m, w))
         pre = curve.Preimage(m=m, omega=w, coeffs=coeffs[:m + 1])
         cases = polygons(rng, m)
-        for tl, t in t_inputs(ts, grids):
+        for tl, t in t_inputs():
             at = "%s %s" % (key, tl)
             line("preimage_basis %s" % at, lambda: basis.preimage_basis(m, w, t))
             line("hodograph_basis %s" % at, lambda: basis.hodograph_basis(m, w, t))
@@ -135,12 +134,11 @@ def dump(out, omegas, ts, grids, with_rho: bool) -> int:
                     c = kind(m=m, omega=w, dim=poly.shape[-1], control_points=poly)
                     line("evaluate %s %s %s" % (method.name, name, am),
                          lambda: evaluators.evaluate(c, t, method, mode))
-    if with_rho:
-        for m, d, method in itertools.product((1, 2), (2, 3), EvalMethod):
-            config = bench.RhoConfig(d=d, m=m, n_curves=3, grid_points=41,
-                                     omega_grid=np.geomspace(1e-3, 40.0, 9), seed=5)
-            line("rho m=%d d=%d %s" % (m, d, method.name),
-                 lambda: bench.rho(config, method))
+    for m, d, method in itertools.product((1, 2), (2, 3), EvalMethod):
+        config = bench.RhoConfig(d=d, m=m, n_curves=3, grid_points=41,
+                                 omega_grid=np.geomspace(1e-3, 40.0, 9), seed=5)
+        line("rho m=%d d=%d %s" % (m, d, method.name),
+             lambda: bench.rho(config, method))
     return n
 
 
@@ -148,13 +146,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the ephcurve package (default: this tree's src)")
-    parser.add_argument("--quick", action="store_true", help="a few omegas and t only")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.src))
-    omegas, ts, grids = OMEGAS, TS, GRIDS
-    if args.quick:
-        omegas, ts, grids = (5e-324, 0.05, 4.0), (0.0, 5e-324, 0.37, 0.5, 1.0), GRIDS[:1]
-    n = dump(sys.stdout, omegas, ts, grids, with_rho=not args.quick)
+    n = dump(sys.stdout)
     print("%d outcomes" % n, file=sys.stderr)
     return 0
 
