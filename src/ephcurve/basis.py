@@ -1017,10 +1017,11 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     t^(2m), which underflows: in AUTO, NAIVE and TAYLOR5 mode the
     weights are NaN from about t = 1e-161 (m=1) and t = 1e-81 (m=2)
     down; explicit stable weights below their omega band turn NaN
-    earlier (m=2: from 5.6e-78 at omega = 1e-3).  Well before that the stable m=1 tau_1 is wrong: its numerator cancels, so
-    its error grows like 1e-16 / t (tau_1 = -1.05e33 at omega = 4,
-    t = 1e-50, where the true value is about 1), and ``eval_new`` is
-    O(1) wrong there.  No series fallback is applied.
+    earlier (m=2: from 5.6e-78 at omega = 1e-3).  Well before that the
+    stable m=1 tau_1 is wrong: its numerator cancels, so its error grows
+    like 1e-16 / t (tau_1 = -1.05e33 at omega = 4, t = 1e-50, where the
+    true value is about 1), and ``eval_new`` is O(1) wrong there.  No
+    series fallback is applied.
     """
     _check_m(m)
     omega = _check_omega(omega)

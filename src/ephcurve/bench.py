@@ -173,6 +173,8 @@ def time_methods(d: int, m: int, omega_list, n_curves: int = 1000,
     timings measure cost, not correct output.  Absolute numbers are
     machine-bound; only the ordering between methods is meaningful.
     """
+    if n_curves < 1 or grid_points < 2 or repetitions < 1:
+        raise ValueError("need at least one curve, two grid points and one repetition")
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, grid_points)
     n = 2 * m + 2

@@ -57,7 +57,7 @@ def _write_csv(out, header_rows, columns, rows):
         out.write("# %s\n" % line)
     out.write(",".join(columns) + "\n")
     for row in rows:
-        out.write(",".join("%.17g" % v for v in row) + "\n")
+        out.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\n")
 
 
 def _load_curve(path) -> EphCurve:
@@ -195,20 +195,15 @@ def cmd_bench(args) -> int:
                      args.omega_points, args.omega_max, args.seed)]
         methods = [EvalMethod(v) for v in args.methods.split(",")]
         if args.experiment == "rho":
-            rows = []
             cols = ["omega"] + [m.value for m in methods]
             series = [bench.rho(config, m)[:, 1] for m in methods]
-            for i, w in enumerate(config.omega_grid):
-                rows.append([w] + [s[i] for s in series])
-            with _open_out(args.out) as out:
-                _write_csv(out, header, cols, rows)
+            rows = [[w] + [s[i] for s in series] for i, w in enumerate(config.omega_grid)]
         else:
-            with _open_out(args.out) as out:
-                out.write("# %s\n" % header[0])
-                out.write("method,omega_bar,rho_at_min\n")
-                for m in methods:
-                    bp = bench.find_omega_bar(config, m)
-                    out.write("%s,%.17g,%.17g\n" % (m.value, bp.omega_bar, bp.rho_at_min))
+            cols = ["method", "omega_bar", "rho_at_min"]
+            rows = [[bp.method.value, bp.omega_bar, bp.rho_at_min]
+                    for bp in (bench.find_omega_bar(config, m) for m in methods)]
+        with _open_out(args.out) as out:
+            _write_csv(out, header, cols, rows)
         return EXIT_OK
     # timing
     omegas = [0.096 + 2.0 ** k for k in range(args.k_min, args.k_max + 1)]
@@ -221,12 +216,8 @@ def cmd_bench(args) -> int:
                  args.k_min, args.k_max, args.seed),
               _environment_line()]
     with _open_out(args.out) as out:
-        for line in header:
-            out.write("# %s\n" % line)
-        out.write("method,omega,median_seconds\n")
-        for row in rows:
-            out.write("%s,%.17g,%.17g\n" % (row.method.value, row.omega,
-                                            row.median_seconds))
+        _write_csv(out, header, ["method", "omega", "median_seconds"],
+                   ([r.method.value, r.omega, r.median_seconds] for r in rows))
     return EXIT_OK
 
 

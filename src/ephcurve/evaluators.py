@@ -74,70 +74,64 @@ def _four_space_basis(omega: float, h: np.ndarray) -> np.ndarray:
 
 
 def _corner_chain(m: int, omega: float, t, mode: EvalMode) -> list:
-    """Bases of the nested chain, from 1 function up to the curve basis:
-    (t, k) rows for a grid, lists of k Python floats for one point.
+    """Bases of the nested chain, from 2 functions up to the curve basis,
+    as rows: (t, k) for a grid, (k,) for one point.
 
     For m=2 the hodograph level is built from the m=1 level before it,
     by the products ``hodograph_basis(2, ...)`` uses."""
-    point = isinstance(t, float)
     h1 = basis.hodograph_basis(1, omega, t)
-    chain = [[1.0] if point else np.ones(t.shape + (1,)),
-             basis._two_space_basis(omega, t), h1]
+    chain = [basis._two_space_basis(omega, t), h1]
     if m == 2:
         h = basis._hodograph_products(*basis._columns(h1))
         chain.append(_four_space_basis(omega, h))
         chain.append(h)
     chain.append(basis.curve_basis(m, omega, t, mode))
-    if point:
-        chain[1:] = [b.tolist() for b in chain[1:]]
     return chain
 
 
-def _clip_unit(x: float) -> float:
-    """``np.clip(x, 0.0, 1.0)`` on a Python float, with numpy's bits: NaN
-    passes, -0.0 stays, and +inf becomes 1.0."""
-    if x >= 0.0:
-        return x if x <= 1.0 else 1.0
-    return x if x != x else 0.0
+def _cut_weight(rest, b):
+    """``1 - rest / b`` clipped to [0, 1], and 0 where ``b`` is not positive.
+
+    On arrays ``np.where`` and ``np.clip`` pick and clip.  On Python
+    floats (one point) conditional expressions give numpy's bits: no
+    division is made where ``b`` is not positive, NaN passes the clip,
+    -0.0 stays, and +inf becomes 1.0."""
+    if type(rest) is float:
+        if not b > 0.0:
+            return 0.0
+        x = 1.0 - rest / b
+        if x >= 0.0:
+            return x if x <= 1.0 else 1.0
+        return x if x != x else 0.0
+    raw = 1.0 - rest / b
+    raw = np.where(b > 0.0, raw, 0.0)
+    np.clip(raw, 0.0, 1.0, out=raw)
+    return raw
 
 
 def _decasteljau_weights(m: int, omega: float, t, mode: EvalMode) -> list:
     """Per-level convex-combination weights lambda[p], p = 0..2m.
 
-    Level p connects the chain bases with p+1 and p+2 functions: basis
-    function j of the larger space splits as
-    ``B_{p+1,j} = lam[j-1] B_{p,j-1} + (1 - lam[j]) B_{p,j}``, solved by
-    forward substitution in j.  The true weights are convex for the
-    nested chain, so the solution is clipped to [0, 1]: where a basis
-    value underflows the raw quotient is pure noise, and that node
-    carries no mass anyway.  On a grid each level is stored as (p+1, t)
-    rows, so the point loops read t-contiguous weights.  At one point (t a
-    Python float) the chain's levels and the weights are lists of floats,
-    and the same recurrence runs on them with conditional expressions in
-    place of ``np.where`` and ``np.clip``: no division is made where the
-    basis value is not positive.  A grid keeps numpy's statements, in
-    their order, since ``rho-sweep``'s speed moves with the order of its
-    allocations (see ``_corner_cut``).
+    Level p connects the chain bases with p+1 and p+2 functions, the
+    first the constant [1.0]: basis function j of the larger space splits
+    as ``B_{p+1,j} = lam[j-1] B_{p,j-1} + (1 - lam[j]) B_{p,j}``, solved
+    by forward substitution in j over the bases' columns
+    (``basis._columns``): (t,) views for a grid, Python floats for one
+    point.  The true weights are convex for the nested chain, so each
+    quotient is clipped to [0, 1] (``_cut_weight``): where a basis value
+    underflows the raw quotient is pure noise, and that node carries no
+    mass anyway.  Each level is a list of p+1 weights, t-contiguous
+    arrays for a grid, so the point loops read contiguous t.
     """
-    chain = _corner_chain(m, omega, t, mode)
-    point = isinstance(t, float)
+    levels = [[1.0]] + [basis._columns(b) for b in _corner_chain(m, omega, t, mode)]
     weights = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p in range(2 * m + 1):
-            bp = chain[p]
-            bp1 = chain[p + 1]
-            lam = [0.0] * (p + 1) if point else np.empty((p + 1,) + t.shape)
-            carried = 0.0 if point else np.zeros_like(t)    # lam[j-1] * B_{p,j-1}
-            for j in range(p + 1):
-                if point:
-                    b = bp[j]
-                    raw = _clip_unit(1.0 - (bp1[j] - carried) / b) if b > 0.0 else 0.0
-                else:
-                    b = bp[..., j]
-                    raw = 1.0 - (bp1[..., j] - carried) / b
-                    raw = np.where(b > 0.0, raw, 0.0)
-                    np.clip(raw, 0.0, 1.0, out=raw)
-                lam[j] = raw
+        for bp, bp1 in zip(levels, levels[1:]):
+            lam = []
+            carried = 0.0                   # lam[j-1] * B_{p,j-1}
+            for b, b1 in zip(bp, bp1):
+                raw = _cut_weight(b1 - carried, b)
+                lam.append(raw)
                 carried = raw * b
             weights.append(lam)
     return weights
@@ -146,17 +140,19 @@ def _decasteljau_weights(m: int, omega: float, t, mode: EvalMode) -> list:
 def _point_columns(curve: EphCurve | CurveBatch, t):
     """t's shape, t flattened and the control points as lead + (dim, 2m+2, 1).
 
-    The corner-cutting evaluators keep points as lead + (dim, t), with
-    lead = (N,) for a batch and () for one curve, so every product runs
-    along t.  A single t stays a Python float, so every per-t factor is
-    one and the points keep their length-1 t axis; one point of one
-    curve does not read the points from here but runs on Python floats,
-    one coordinate at a time (see ``_per_coordinate``)."""
+    This is the evaluators' one switch between the two kinds of input.
+    One t of one ``EphCurve`` comes back as a Python float with no points
+    (None): the evaluators then run on Python floats, one coordinate at a
+    time (see ``_per_coordinate``).  Everything else runs on lead + (dim,
+    t) arrays, with lead = (N,) for a batch and () for one curve, so every
+    product runs along t; one t of a ``CurveBatch`` is a grid of one."""
     t = basis._check_t(t)
-    cp = curve.control_points.swapaxes(-1, -2)[..., None]
+    cp = curve.control_points
     if isinstance(t, float):
-        return (), t, cp
-    return t.shape, t.reshape(-1), cp
+        if cp.ndim == 2:
+            return (), t, None
+        t = np.array(t)
+    return t.shape, t.reshape(-1), cp.swapaxes(-1, -2)[..., None]
 
 
 def _point_rows(q: np.ndarray, shape: tuple) -> np.ndarray:
@@ -200,12 +196,12 @@ def eval_decasteljau(curve: EphCurve | CurveBatch, t,
     No level holds more than 2m+1 points per parameter and curve (see
     ``_decasteljau_levels``).  One t of one curve, interior or an end,
     runs on Python floats: the weights are lists of floats and the levels
-    run one coordinate at a time; grids and batches run the same levels
-    on lead + (dim, t) points.
+    run one coordinate at a time; everything else runs the same levels
+    on lead + (dim, t) points (see ``_point_columns``).
     """
     shape, tv, cp = _point_columns(curve, t)
     lam = _decasteljau_weights(curve.m, curve.omega, tv, mode)
-    if isinstance(tv, float) and curve.control_points.ndim == 2:
+    if cp is None:
         return _per_coordinate(curve.control_points,
                                lambda p: _decasteljau_levels(p, lam)[0])
     # pts stays alive while _point_rows copies pts[0] out, which keeps a
@@ -214,38 +210,45 @@ def eval_decasteljau(curve: EphCurve | CurveBatch, t,
     return _point_rows(pts[0], shape)
 
 
+def _wc_combine(points: list, h: list):
+    """Woźny–Chudy's sequential convex combinations on ``points`` P_0 ..
+    P_{2m+1}: ``q *= 1 - h_k; q += h_k P_k`` for k = 1..2m+1, from q =
+    P_0.  The points are lead + (dim, t) arrays, P_0 a fresh one that
+    the steps overwrite, or one coordinate's Python floats."""
+    q = points[0]
+    for k, hk in enumerate(h, 1):
+        q *= 1.0 - hk
+        q += hk * points[k]
+    return q
+
+
 def eval_wozny_chudy(curve: EphCurve | CurveBatch, t,
                      mode: EvalMode = EvalMode.AUTO) -> np.ndarray:
     """Linear-time evaluation via partial-sum ratios of the curve basis.
 
-    One t of one curve, interior or an end, runs on Python floats: the
-    partial sums are a running sum, in ``np.cumsum``'s sequential order,
-    and a ratio is taken only where its partial sum is positive.
+    The ratios h_k = b_k / (b_0 + ... + b_k) are taken only where the
+    partial sum is positive, and weight one combination loop
+    (``_wc_combine``).  One t of one curve, interior or an end, runs on
+    Python floats: the partial sums are a running sum, in ``np.cumsum``'s
+    sequential order, and the loop runs one coordinate at a time.
     """
     shape, tv, cp = _point_columns(curve, t)
     b = basis.curve_basis(curve.m, curve.omega, tv, mode)
-    if isinstance(tv, float) and curve.control_points.ndim == 2:
+    if cp is None:
         b = b.tolist()
         h = []
         s = b[0]
         for bk in b[1:]:
             s += bk
             h.append(bk / s if s > 0.0 else 0.0)
-
-        def value(p):
-            q = p[0]
-            for hk, pk in zip(h, p[1:]):
-                q = q * (1.0 - hk) + hk * pk
-            return q
-
-        return _per_coordinate(curve.control_points, value)
+        return _per_coordinate(curve.control_points, lambda p: _wc_combine(p, h))
     s = np.cumsum(b, axis=-1)
-    q = np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (np.size(tv),)).copy()
+    points = [np.broadcast_to(cp[..., 0, :], cp.shape[:-2] + (tv.size,)).copy()]
+    points += [cp[..., k, :] for k in range(1, cp.shape[-2])]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, 2 * curve.m + 2):
-            h = np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
-            q *= 1.0 - h
-            q += h * cp[..., k, :]
+        h = [np.where(s[..., k] > 0.0, b[..., k] / s[..., k], 0.0)
+             for k in range(1, cp.shape[-2])]
+        q = _wc_combine(points, h)
     return _point_rows(q, shape)
 
 
@@ -271,41 +274,38 @@ def _bernstein_wc(r1: list, ratio):
     return q
 
 
-def _corner_cut(curve: EphCurve | CurveBatch, t, mirror: bool,
+def _corner_cut(curve: EphCurve | CurveBatch, t, cp, mirror: bool,
                 mode: EvalMode) -> np.ndarray:
     """Points at parameters ``t`` all strictly inside (0, 1) on one side of
-    0.5: lead + (dim, t) for a grid, lead + (dim,) for one point.
+    0.5, from ``_point_columns``' t and points: lead + (dim, t) for a
+    grid, (dim,) for one t of one curve (no points).
 
     The reduced polygon is tau_k (P_k - P_{k+1}) + P_{k+1}, k = 0..2m,
-    reversed for the mirror image at 1 - t.  One point of one curve
-    builds it on Python floats, one coordinate at a time, and runs the
-    recursion on each list of 2m+1 floats.  A grid or a batch builds it
-    as one lead + (dim, 2m+1, t) block, along contiguous t, and runs the
-    same recursion on the list of its 2m+1 points.  The block is one
-    allocation on purpose: with 2m+1 separate point arrays of a batch's
-    size, glibc's malloc kept trimming and re-faulting heap pages, and
-    every evaluator in the process lost 10-28% of its throughput.
+    reversed for the mirror image at 1 - t.  One t of one curve builds it
+    on Python floats, one coordinate at a time, and runs the recursion on
+    each list of 2m+1 floats.  A grid builds it as one lead + (dim, 2m+1,
+    t) block, along contiguous t, and runs the same recursion on the list
+    of its 2m+1 points.  The block is one allocation on purpose: with
+    2m+1 separate point arrays of a batch's size, glibc's malloc kept
+    trimming and re-faulting heap pages, and every evaluator in the
+    process lost 10-28% of its throughput.
     """
     tau = basis.corner_weights(curve.m, curve.omega, t, mode)
     s, u = (1.0 - t, t) if mirror else (t, 1.0 - t)
     ratio = u / s
-    cp = curve.control_points
-    if isinstance(t, float) and cp.ndim == 2:
+    if cp is None:
         tau = tau.tolist()
 
         def value(p):
             r1 = [tk * (a - b) + b for tk, a, b in zip(tau, p, p[1:])]
             return _bernstein_wc(r1[::-1] if mirror else r1, ratio)
 
-        return _per_coordinate(cp, value)
-    # (2m+1, t) with t contiguous; one point of a batch as a length-1 t axis
-    tau = tau.reshape(-1, 1) if isinstance(t, float) else np.ascontiguousarray(tau.T)
-    cols = cp.swapaxes(-1, -2)[..., None]          # lead + (dim, 2m+2, 1)
-    block = tau * (cols[..., :-1, :] - cols[..., 1:, :])
-    block += cols[..., 1:, :]
+        return _per_coordinate(curve.control_points, value)
+    tau = np.ascontiguousarray(tau.T)               # (2m+1, t), t contiguous
+    block = tau * (cp[..., :-1, :] - cp[..., 1:, :])
+    block += cp[..., 1:, :]
     r1 = [block[..., k, :] for k in range(block.shape[-2])]
-    q = _bernstein_wc(r1[::-1] if mirror else r1, ratio)
-    return q[..., 0] if isinstance(t, float) else q
+    return _bernstein_wc(r1[::-1] if mirror else r1, ratio)
 
 
 def eval_new(curve: EphCurve | CurveBatch, t,
@@ -315,11 +315,10 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     The corner weights are undefined at t = 0 and t = 1, where the value
     is the end control point.  Points below and above t = 0.5 take their
     own corner weights and the two directions of the recursion (see
-    ``_bernstein_wc``).  When every point lies strictly inside (0, 1) on
-    one side of 0.5, as a single interior t always does, the points are
-    cut as given, with one ``corner_weights`` call and no gather or
-    scatter by branch; a single interior t takes one comparison chain to
-    its side and is cut on Python floats (see ``_corner_cut``).  Near
+    ``_bernstein_wc``).  One t of one curve is cut on Python floats on
+    its side of 0.5, or is an end and returns a copy of its end control
+    point.  Every array of t takes one split: the ends by mask, then one
+    ``_corner_cut`` per side of 0.5 that holds points.  Near
     t = 0 the corner weights underflow (see ``corner_weights``): the
     result is NaN from about t = 1e-161 down for m=1 and from about
     t = 1e-81 for m=2 (measured at omega from 1e-3 to 300), where
@@ -328,25 +327,20 @@ def eval_new(curve: EphCurve | CurveBatch, t,
     is 3e-4 (omega = 4) and 9e-7 (omega = 40) at t = 1e-30, and O(1),
     0.4, by t = 1e-50 at both and by t = 1e-160 at omega = 300.
     """
-    t = basis._check_t(t)
-    if isinstance(t, float):
-        if 0.0 < t < 1.0:
-            return _corner_cut(curve, t, t < 0.5, mode)
-        shape, tv = (), np.array([t])   # an end: the masks pick its control point
-    else:
-        shape, tv = t.shape, t.reshape(-1)
+    shape, tv, cp = _point_columns(curve, t)
+    if cp is None:
+        if 0.0 < tv < 1.0:
+            return _corner_cut(curve, tv, None, tv < 0.5, mode)
+        return curve.control_points[0 if tv == 0.0 else -1].copy()
     below = (tv > 0.0) & (tv < 0.5)
     above = (tv >= 0.5) & (tv < 1.0)
-    if below.all() or above.all():      # one side only: no gather, no scatter
-        return _point_rows(_corner_cut(curve, tv, below.all(), mode), shape)
     # end control points where t is 0 or 1; every other point is overwritten
-    cp = curve.control_points
-    out = np.empty(cp.shape[:-2] + (cp.shape[-1], tv.size))
-    out[..., tv == 0.0] = cp[..., 0, :, None]
-    out[..., tv == 1.0] = cp[..., -1, :, None]
+    out = np.empty(cp.shape[:-2] + (tv.size,))
+    out[..., tv == 0.0] = cp[..., 0, :]
+    out[..., tv == 1.0] = cp[..., -1, :]
     for sel, mirror in ((below, True), (above, False)):
         if sel.any():
-            out[..., sel] = _corner_cut(curve, tv[sel], mirror, mode)
+            out[..., sel] = _corner_cut(curve, tv[sel], cp, mirror, mode)
     return _point_rows(out, shape)
 
 

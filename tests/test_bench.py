@@ -114,6 +114,15 @@ def test_find_omega_bar_returns_grid_point():
     assert bp.rho_at_min >= 0.0
 
 
+@pytest.mark.parametrize("size", [{"repetitions": 0}, {"n_curves": 0},
+                                  {"grid_points": 1}])
+def test_timing_rejects_empty_measurements(size):
+    # no repetition gave NaN medians, no curve timed an empty loop, and
+    # one grid point is no grid: each is refused as RhoConfig refuses it
+    with pytest.raises(ValueError):
+        time_methods(3, 1, [0.5], **size)
+
+
 def test_timing_rows():
     rows = time_methods(3, 1, [0.5, 4.0], n_curves=3, grid_points=51,
                         repetitions=2, seed=1)

@@ -246,6 +246,16 @@ def test_bench_rho_one_grid_point_exit_2(tmp_path):
                     "--out", str(tmp_path / "rho.csv")]) == 2
 
 
+@pytest.mark.parametrize("size", [["--repetitions", "0"], ["--curves", "0"],
+                                  ["--grid", "1"]])
+def test_bench_timing_empty_measurement_exit_2(tmp_path, capsys, size):
+    out = tmp_path / "timing.csv"
+    assert run_cli(["bench", "--experiment", "timing", "--k-min", "0", "--k-max", "0",
+                    "--out", str(out)] + size) == 2
+    assert "invalid value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ephcurve.cli", "basis",
                            "--m", "1", "--omega", "1.0", "--grid", "3"],

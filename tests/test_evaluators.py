@@ -178,7 +178,7 @@ def test_new_reduction_weight_identity(rng):
 @pytest.mark.parametrize("w", [1e-3, 0.1, 2.0, 20.0, 300.0])
 def test_decasteljau_four_space_against_oracle(w):
     ts = np.linspace(0.0, 1.0, 21)
-    got = _corner_chain(2, w, ts, EvalMode.STABLE_LARGE_OMEGA)[3]
+    got = _corner_chain(2, w, ts, EvalMode.STABLE_LARGE_OMEGA)[2]
     ref = np.array([[float(v) for v in oracles.four_space_ref(w, t)] for t in ts])
     assert rel_inf(got, ref) < 1e-14
 
@@ -357,7 +357,7 @@ def test_one_point_wc_and_decasteljau_run_on_floats(rng, monkeypatch, m):
     assert {"cumsum", "broadcast_to", "where"} <= set(seen)
     seen.clear()
     eval_decasteljau(curve, grid)
-    assert {"ones", "zeros_like", "where", "clip"} <= set(seen)
+    assert {"where", "clip"} <= set(seen)
 
 
 def test_new_keeps_one_point_0d(rng, monkeypatch):
