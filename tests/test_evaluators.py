@@ -230,7 +230,7 @@ ONE_POINT_FORMS = (float, np.float64, np.asarray,
 # lower neighbour of 0.5 is the last t cut as the mirror image
 ONE_POINT_TS = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 0.013, 0.1, 0.2, 0.3, 0.4,
                 float(np.nextafter(0.5, 0.0)), 0.5, 0.6, 0.7, 0.77, 0.9, 1.0 - 1e-16, 1.0)
-# grids wholly on one side of 0.5, which eval_new cuts without a gather
+# grids wholly on one side of 0.5: eval_new's split with one side empty
 ONE_SIDE_GRIDS = (np.linspace(0.01, 0.49, 7), np.linspace(0.5, 0.97, 7))
 
 
