@@ -81,11 +81,12 @@ _AUTO_BANDS = {
 # 100001-point grid).
 NAIVE_OMEGA_LIMIT = {1: 700.0, 2: 178.48}
 
-# exponents of (x**3, x**4, y**3, y**4), (x**3, y**3) and
-# (x**5, x**4, x**3, y**5, y**4, y**3), for one np.power call each
+# exponents of (x**3, x**4, y**3, y**4) for one np.power call, and of
+# both sides' cubes and fifth to third powers for ``_mirror``
 _CUBE_FOURTH = np.array([3.0, 4.0, 3.0, 4.0])
 _CUBES = np.array([3.0, 3.0])
-_FIFTH_TO_THIRD = np.array([5.0, 4.0, 3.0, 5.0, 4.0, 3.0])
+_FIFTH_TO_THIRD = np.array([5.0, 5.0, 4.0, 4.0, 3.0, 3.0])
+_CUBE_FOURTH_PAIRS = np.array([3.0, 3.0, 4.0, 4.0])
 
 
 def resolve_mode(mode: EvalMode, m: int, omega: float,
@@ -173,6 +174,35 @@ def _powers(xs, ks: np.ndarray) -> list:
     if type(xs[0]) is float:
         return np.power(xs, ks).tolist()
     return list(np.power(xs, ks.reshape(ks.shape + (1,) * np.ndim(xs[0]))))
+
+
+def _mirror(half, t, ks: np.ndarray, f=None, scale: float = 1.0) -> np.ndarray:
+    """Rows of a mirror-symmetric form, b_{n-1-k}(t) = b_k(1 - t).
+
+    ``half(x, powers, base_y)`` gives the first n/2 functions on one side
+    x (1 - t, or t for the mirror image) from x, the powers of the side's
+    base (x itself, or ``f(scale * x)``) and the other side's base.
+    ``ks`` lists each exponent twice, for the 1 - t side and the t side.
+    One point calls ``half`` at 1 - t and at t, on floats (or on the
+    ``np.float64`` that ``_on_floats`` retries with), after one
+    ``_powers`` call for both sides.  A grid calls it once, on
+    ``np.stack([1 - t, t])``, whose flip gives the other side's base, so
+    each numpy call pays its fixed cost once for both sides; row 0 of
+    each column it returns is b_k(t), row 1 is b_{n-1-k}(t).  Every value
+    is computed as on one side alone, so the bits are the same."""
+    if isinstance(t, float):
+        u = 1.0 - t
+        if f is None:
+            bu, bt = u, t
+        else:
+            bu, bt = _ufunc(f, scale * u), _ufunc(f, scale * t)
+        p = _powers([bu, bt] * (len(ks) >> 1), ks)
+        return _stack(half(u, p[::2], bt) + half(t, p[1::2], bu)[::-1])
+    x = np.stack([1.0 - t, t])
+    b = x if f is None else f(scale * x)
+    p = np.power(b, ks[::2].reshape((-1,) + (1,) * b.ndim))
+    cols = half(x, p, b[::-1])
+    return np.stack([c[0] for c in cols] + [c[1] for c in cols[::-1]], axis=-1)
 
 
 def _on_floats(form, x, t):
@@ -494,22 +524,23 @@ def _g0_naive(a):
 
 
 def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
+    """The textbook m=2 forms, mirror-paired on sinh(w x / 2) (see
+    ``_mirror``)."""
     c = _constants_m2(w)
     g0w, g1w, g2w = c.g0, c.g1, c.g2
     sh4w = math.sinh(0.5 * w) ** 4
-    u = 1.0 - t
-    g0u = _g0_naive(w * u)
-    g0t = _g0_naive(w * t)
-    shu = _ufunc(np.sinh, 0.5 * w * u)
-    sht = _ufunc(np.sinh, 0.5 * w * t)
-    p0 = g0u / g0w
-    p5 = g0t / g0w
-    shu3, shu4, sht3, sht4 = _powers([shu, shu, sht, sht], _CUBE_FOURTH)
-    p1 = g1w * math.sinh(0.5 * w) * (shu4 - sh4w * g0u / g0w)
-    p4 = g1w * math.sinh(0.5 * w) * (sht4 - sh4w * g0t / g0w)
-    p2 = g2w * (-16.0 * shu3 * sht + g1w * g0w * shu4 - g1w * sh4w * g0u)
-    p3 = g2w * (-16.0 * sht3 * shu + g1w * g0w * sht4 - g1w * sh4w * g0t)
-    return _stack([p0, p1, p2, p3, p4, p5])
+    k1 = g1w * math.sinh(0.5 * w)
+    k2 = g1w * g0w
+    k3 = g1w * sh4w
+
+    def half(x, powers, shy):
+        shx3, shx4 = powers
+        g0x = _g0_naive(w * x)
+        return [g0x / g0w,
+                k1 * (shx4 - sh4w * g0x / g0w),
+                g2w * (-16.0 * shx3 * shy + k2 * shx4 - k3 * g0x)]
+
+    return _mirror(half, t, _CUBE_FOURTH_PAIRS, np.sinh, 0.5 * w)
 
 
 @_per_omega
@@ -803,45 +834,39 @@ def _curve_basis_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
 
 
 def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:
+    """The m=1 series, mirror-paired (see ``_mirror``)."""
     W = w * w
 
-    def t3(t, t_3):
-        a = ((10.0 * t * t - 21.0) * t * t + 11.0)
-        return t_3 * ((a * W + 420.0 * (t * t - 1.0)) * W + 8400.0) / 8400.0
+    def half(x, powers, _):
+        x_3, = powers
+        a = ((10.0 * x * x - 21.0) * x * x + 11.0)
+        b0 = x_3 * ((a * W + 420.0 * (x * x - 1.0)) * W + 8400.0) / 8400.0
+        a = (((30.0 * x - 40.0) * x + 23.0) * x - 12.0) * x - 3.0
+        b = (3.0 * x - 2.0) * x + 1.0
+        b1 = 3.0 * x * x * (1.0 - x) * ((a * W + 420.0 * b) * W + 25200.0) / 25200.0
+        return [b0, b1]
 
-    def t2(t):
-        a = (((30.0 * t - 40.0) * t + 23.0) * t - 12.0) * t - 3.0
-        b = (3.0 * t - 2.0) * t + 1.0
-        return 3.0 * t * t * (1.0 - t) * ((a * W + 420.0 * b) * W + 25200.0) / 25200.0
-
-    u = 1.0 - t
-    u_3, t_3 = _powers([u, t], _CUBES)
-    return _stack([t3(u, u_3), t2(u), t2(t), t3(t, t_3)])
+    return _mirror(half, t, _CUBES)
 
 
 def _taylor_m2(w: float, t: np.ndarray) -> np.ndarray:
+    """The m=2 series, mirror-paired (see ``_mirror``)."""
     W = w * w
 
-    def t5(t, t_5):
-        a = (49.0 * t * t - 100.0) * t * t + 51.0
-        return t_5 * ((a * W + 840.0 * (t * t - 1.0)) * W + 7056.0) / 7056.0
+    def half(x, powers, _):
+        x_5, x_4, x_3 = powers
+        a = (49.0 * x * x - 100.0) * x * x + 51.0
+        b0 = x_5 * ((a * W + 840.0 * (x * x - 1.0)) * W + 7056.0) / 7056.0
+        a = (((245.0 * x - 196.0) * x - 96.0) * x + 44.0) * x - 1.0
+        b = (5.0 * x - 2.0) * x - 1.0
+        b1 = 5.0 * x_4 * (1.0 - x) * ((a * W + 840.0 * b) * W + 35280.0) / 35280.0
+        a = (((245.0 * x - 392.0) * x + 253.0) * x - 82.0) * x + 3.0
+        b = (10.0 * x - 8.0) * x + 3.0
+        y = 1.0 - x
+        b2 = 10.0 * x_3 * (y * y) * ((a * W + 420.0 * b) * W + 35280.0) / 35280.0
+        return [b0, b1, b2]
 
-    def t4(t, t_4):
-        a = (((245.0 * t - 196.0) * t - 96.0) * t + 44.0) * t - 1.0
-        b = (5.0 * t - 2.0) * t - 1.0
-        return (5.0 * t_4 * (1.0 - t)
-                * ((a * W + 840.0 * b) * W + 35280.0) / 35280.0)
-
-    def t3(t, t_3):
-        a = (((245.0 * t - 392.0) * t + 253.0) * t - 82.0) * t + 3.0
-        b = (10.0 * t - 8.0) * t + 3.0
-        u = 1.0 - t
-        return (10.0 * t_3 * (u * u)
-                * ((a * W + 420.0 * b) * W + 35280.0) / 35280.0)
-
-    u = 1.0 - t
-    u_5, u_4, u_3, t_5, t_4, t_3 = _powers([u, u, u, t, t, t], _FIFTH_TO_THIRD)
-    return _stack([t5(u, u_5), t4(u, u_4), t3(u, u_3), t3(t, t_3), t4(t, t_4), t5(t, t_5)])
+    return _mirror(half, t, _FIFTH_TO_THIRD)
 
 
 def taylor_curve_basis(m: int, omega: float, t) -> np.ndarray:

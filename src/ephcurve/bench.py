@@ -19,6 +19,7 @@ caller evaluating one curve at a time would.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -57,13 +58,19 @@ class RhoConfig:
     seed: int = 0
 
     def __post_init__(self):
+        sizes = {"d": self.d, "m": self.m, "n_curves": self.n_curves,
+                 "grid_points": self.grid_points}
+        for name, size in sizes.items():
+            if not isinstance(size, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r" % (name, size))
         if self.d not in (2, 3):
             raise ValueError("d must be 2 or 3")
         basis._check_m(self.m)
         if self.n_curves < 1 or self.grid_points < 2:
             raise ValueError("need at least one curve and two grid points")
         grid = np.asarray(self.omega_grid, dtype=float)
-        for w in grid.flat:
+        _check_omega_list(grid)
+        for w in grid:
             basis._check_omega(w)
         grid.setflags(write=False)
         object.__setattr__(self, "omega_grid", grid)
@@ -96,6 +103,13 @@ class TimingRow:
     median_seconds: float
 
 
+def _check_omega_list(omegas: np.ndarray) -> None:
+    """A sweep needs a non-empty, one-dimensional list of omegas."""
+    if omegas.ndim != 1 or omegas.size == 0:
+        raise ValueError("need a non-empty one-dimensional list of omegas, got shape %s"
+                         % (omegas.shape,))
+
+
 def _rho_mode(method: EvalMethod) -> EvalMode:
     # The sweep probes each algorithm's own production arithmetic: the
     # large-omega-stable forms for the three algorithms, the plain
@@ -118,7 +132,11 @@ def rho(config: RhoConfig, method: EvalMethod) -> np.ndarray:
 
     At each omega the polygons go through the evaluator as ``CurveBatch``
     blocks of at most ``_RHO_BLOCK_POINTS`` curve-points (at least one
-    curve per block).
+    curve per block).  Each block's deviation from the series reference is
+    taken in place, in the (N, dim, t) layout the evaluators compute in,
+    so the subtraction, the absolute value and the maximum run along
+    contiguous t; they are elementwise, and the maximum is exact, so the
+    metric has the bits of the same steps on (N, t, dim).
     """
     ts = np.linspace(0.0, 1.0, config.grid_points)
     polygons = config.draw_polygons()
@@ -135,8 +153,12 @@ def rho(config: RhoConfig, method: EvalMethod) -> np.ndarray:
             with np.errstate(all="ignore"):
                 val = evaluate(batch, ts, method, mode)
             ref = tmat @ cp
-            val -= ref
-            num = np.max(np.abs(val, out=val), axis=(1, 2))
+            # the difference in the evaluators' own (N, dim, t) layout:
+            # the corner-cut evaluators return (N, t, dim) as a transposed
+            # view of it, and only ref's operand is strided then
+            diff = val.swapaxes(1, 2)
+            diff -= ref.swapaxes(1, 2)
+            num = np.max(np.abs(diff, out=diff), axis=(1, 2))
             den = np.max(np.abs(ref), axis=(1, 2))
             # an evaluator that produces non-finite output has failed
             # outright at this omega
@@ -175,6 +197,7 @@ def time_methods(d: int, m: int, omega_list, n_curves: int = 1000,
     """
     if n_curves < 1 or grid_points < 2 or repetitions < 1:
         raise ValueError("need at least one curve, two grid points and one repetition")
+    _check_omega_list(np.asarray(omega_list, dtype=float))
     rng = np.random.default_rng(seed)
     ts = np.linspace(0.0, 1.0, grid_points)
     n = 2 * m + 2

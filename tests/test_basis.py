@@ -509,6 +509,27 @@ def test_one_point_calls_build_rows_without_stack(monkeypatch, m):
 
 
 @pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("w", [0.05, 0.7, 1.5, 3.0, basis.NAIVE_OMEGA_LIMIT[2]])
+def test_mirrored_grid_rows_equal_one_point(m, w):
+    # a grid runs the series and naive m=2 forms once on 1 - t and t
+    # stacked; every row, the end rows included, keeps the bits of its t
+    # alone.  At omega = 1.5 and 3, omega * t = 1, where the naive m=2
+    # forms switch g0 between its series and its closed form, falls inside
+    # the grid; at 0.05 and 0.7 the series serve every t.
+    forms = [lambda t: basis.taylor_curve_basis(m, w, t)]
+    forms += [lambda t, mode=mode: basis.curve_basis(m, w, t, mode)
+              for mode in (EvalMode.NAIVE, EvalMode.TAYLOR5, EvalMode.AUTO)]
+    grids = (np.linspace(0.0, 1.0, 501), np.array([[0.9, 0.0, 0.3], [1.0, 0.5, 0.6]]))
+    with np.errstate(all="ignore"):     # the series far outside their band
+        for k, form in enumerate(forms):
+            for ts in grids:
+                rows = form(ts)
+                assert rows.shape == ts.shape + (2 * m + 2,)
+                for at in np.ndindex(ts.shape):
+                    assert form(float(ts[at])).tobytes() == rows[at].tobytes(), (k, at)
+
+
+@pytest.mark.parametrize("m", [1, 2])
 def test_one_point_row_is_fresh_writeable_and_contiguous(m):
     # _exact_ends writes the end rows into the row it is given
     for label, row in _one_point_rows(m, 0.3):

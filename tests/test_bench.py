@@ -5,7 +5,7 @@ from ephcurve import bench
 from ephcurve.basis import EvalMode, taylor_curve_basis
 from ephcurve.bench import (BreakpointResult, RhoConfig, default_omega_grid,
                             find_omega_bar, rho, time_methods)
-from ephcurve.curve import EphCurve
+from ephcurve.curve import CurveBatch, EphCurve
 from ephcurve.evaluators import EvalMethod, evaluate
 
 FAST = RhoConfig(d=3, m=1, n_curves=8, grid_points=101,
@@ -30,6 +30,17 @@ def test_config_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             RhoConfig(omega_grid=np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("bad", [{"omega_grid": []}, {"omega_grid": [[0.5, 1.0]]},
+                                 {"n_curves": 2.5}, {"grid_points": 10.5},
+                                 {"d": 3.0}, {"m": 1.0}])
+def test_config_rejects_what_rho_cannot_use(bad):
+    # an empty sweep wrote a header-only table and gave find_omega_bar an
+    # empty argmin; a 2-d grid and float sizes failed inside rho with a
+    # TypeError
+    with pytest.raises(ValueError):
+        RhoConfig(**bad)
 
 
 def test_rho_deterministic_given_seed():
@@ -107,6 +118,44 @@ def test_rho_matches_one_curve_at_a_time(monkeypatch, m, block_curves):
                               _rho_one_curve_at_a_time(config, method)), method
 
 
+def _rho_comparison_on_rows(config, method):
+    """The stability metric with the comparison on the evaluator's
+    (N, t, dim) output, as rho took it before: ``val -= ref``, then the
+    maxima of |val| and |ref| per curve, all curves in one block."""
+    ts = np.linspace(0.0, 1.0, config.grid_points)
+    cp = config.draw_polygons()
+    mode = bench._rho_mode(method)
+    out = []
+    for w in config.omega_grid:
+        tmat = taylor_curve_basis(config.m, w, ts)
+        batch = CurveBatch(m=config.m, omega=float(w), dim=config.d, control_points=cp)
+        with np.errstate(all="ignore"):
+            val = evaluate(batch, ts, method, mode)
+        ref = tmat @ cp
+        val -= ref
+        num = np.max(np.abs(val, out=val), axis=(1, 2))
+        den = np.max(np.abs(ref), axis=(1, 2))
+        ratio = np.where(np.isfinite(num), num / den, np.inf)
+        out.append((w, float(np.max(ratio))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_rho_comparison_keeps_its_bits(m):
+    # rho subtracts in the evaluators' (N, dim, t) layout; the metric must
+    # keep the bits of the subtraction on (N, t, dim).  At omega = 1e-70
+    # (and 1e-8 for m=1) some evaluators return non-finite values, so the
+    # np.inf branch runs too.
+    config = RhoConfig(d=3, m=m, n_curves=4, grid_points=41,
+                       omega_grid=np.array([1e-70, 1e-8, 0.3, 1.9]), seed=2)
+    infinite = 0
+    for method in EvalMethod:
+        got = rho(config, method)
+        assert got.tobytes() == _rho_comparison_on_rows(config, method).tobytes(), method
+        infinite += int(np.isinf(got[:, 1]).sum())
+    assert infinite > 0
+
+
 def test_find_omega_bar_returns_grid_point():
     bp = find_omega_bar(FAST, EvalMethod.NEW)
     assert isinstance(bp, BreakpointResult)
@@ -121,6 +170,12 @@ def test_timing_rejects_empty_measurements(size):
     # one grid point is no grid: each is refused as RhoConfig refuses it
     with pytest.raises(ValueError):
         time_methods(3, 1, [0.5], **size)
+
+
+def test_timing_rejects_an_empty_omega_list():
+    # it returned no rows, and the CLI wrote a header-only table
+    with pytest.raises(ValueError):
+        time_methods(3, 1, [], n_curves=1, grid_points=3, repetitions=1)
 
 
 def test_timing_rows():

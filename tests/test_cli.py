@@ -256,6 +256,21 @@ def test_bench_timing_empty_measurement_exit_2(tmp_path, capsys, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sweep", [["rho", "--omega-points", "0"],
+                                   ["breakpoints", "--omega-points", "0"],
+                                   ["timing", "--k-min", "3", "--k-max", "1"]])
+def test_bench_empty_sweep_exit_2(tmp_path, capsys, sweep):
+    # an empty sweep wrote a header-only table (rho, timing) or failed on
+    # numpy's empty argmin (breakpoints); each is refused with the
+    # library's message before any output is written
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--experiment", *sweep, "--curves", "1", "--grid", "3",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid value: need a non-empty one-dimensional list of omegas" in err
+    assert not out.exists()
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ephcurve.cli", "basis",
                            "--m", "1", "--omega", "1.0", "--grid", "3"],
