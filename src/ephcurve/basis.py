@@ -176,15 +176,16 @@ def _powers(xs, ks: np.ndarray) -> list:
     return list(np.power(xs, ks.reshape(ks.shape + (1,) * np.ndim(xs[0]))))
 
 
-def _mirror(half, t, ks: np.ndarray, f=None, scale: float = 1.0) -> np.ndarray:
+def _mirror(half, t, ks: np.ndarray, base=None) -> np.ndarray:
     """Rows of a mirror-symmetric form, b_{n-1-k}(t) = b_k(1 - t).
 
     ``half(x, powers, base_y)`` gives the first n/2 functions on one side
-    x (1 - t, or t for the mirror image) from x, the powers of the side's
-    base (x itself, or ``f(scale * x)``) and the other side's base.
-    ``ks`` lists each exponent twice, for the 1 - t side and the t side.
-    One point calls ``half`` at 1 - t and at t, on floats (or on the
-    ``np.float64`` that ``_on_floats`` retries with), after one
+    x (1 - t, or t for the mirror image) from x, the powers ``ks`` of the
+    side's base and the other side's base.  The base is x itself, or
+    ``base(x)`` on a grid (the naive m=2 basis, whose one point stays
+    inline).  ``ks`` lists each exponent twice, for the 1 - t side and the
+    t side.  One point calls ``half`` at 1 - t and at t, on floats (or on
+    the ``np.float64`` that ``_on_floats`` retries with), after one
     ``_powers`` call for both sides.  A grid calls it once, on
     ``np.stack([1 - t, t])``, whose flip gives the other side's base, so
     each numpy call pays its fixed cost once for both sides; row 0 of
@@ -192,14 +193,10 @@ def _mirror(half, t, ks: np.ndarray, f=None, scale: float = 1.0) -> np.ndarray:
     is computed as on one side alone, so the bits are the same."""
     if isinstance(t, float):
         u = 1.0 - t
-        if f is None:
-            bu, bt = u, t
-        else:
-            bu, bt = _ufunc(f, scale * u), _ufunc(f, scale * t)
-        p = _powers([bu, bt] * (len(ks) >> 1), ks)
-        return _stack(half(u, p[::2], bt) + half(t, p[1::2], bu)[::-1])
+        p = _powers([u, t] * (len(ks) >> 1), ks)
+        return _stack(half(u, p[::2], t) + half(t, p[1::2], u)[::-1])
     x = np.stack([1.0 - t, t])
-    b = x if f is None else f(scale * x)
+    b = x if base is None else base(x)
     p = np.power(b, ks[::2].reshape((-1,) + (1,) * b.ndim))
     cols = half(x, p, b[::-1])
     return np.stack([c[0] for c in cols] + [c[1] for c in cols[::-1]], axis=-1)
@@ -524,14 +521,30 @@ def _g0_naive(a):
 
 
 def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
-    """The textbook m=2 forms, mirror-paired on sinh(w x / 2) (see
-    ``_mirror``)."""
+    """The textbook m=2 forms.  A grid runs them mirror-paired, on
+    sinh(w x / 2) (see ``_mirror``).  One point keeps both sides inline:
+    a controller tick runs it, and two calls of ``half`` would add their
+    fixed cost to every tick."""
     c = _constants_m2(w)
     g0w, g1w, g2w = c.g0, c.g1, c.g2
     sh4w = math.sinh(0.5 * w) ** 4
     k1 = g1w * math.sinh(0.5 * w)
     k2 = g1w * g0w
     k3 = g1w * sh4w
+    if isinstance(t, float):
+        u = 1.0 - t
+        g0u = _g0_naive(w * u)
+        g0t = _g0_naive(w * t)
+        shu = _ufunc(np.sinh, 0.5 * w * u)
+        sht = _ufunc(np.sinh, 0.5 * w * t)
+        p0 = g0u / g0w
+        p5 = g0t / g0w
+        shu3, shu4, sht3, sht4 = _powers([shu, shu, sht, sht], _CUBE_FOURTH)
+        p1 = k1 * (shu4 - sh4w * g0u / g0w)
+        p4 = k1 * (sht4 - sh4w * g0t / g0w)
+        p2 = g2w * (-16.0 * shu3 * sht + k2 * shu4 - k3 * g0u)
+        p3 = g2w * (-16.0 * sht3 * shu + k2 * sht4 - k3 * g0t)
+        return _stack([p0, p1, p2, p3, p4, p5])
 
     def half(x, powers, shy):
         shx3, shx4 = powers
@@ -540,7 +553,7 @@ def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
                 k1 * (shx4 - sh4w * g0x / g0w),
                 g2w * (-16.0 * shx3 * shy + k2 * shx4 - k3 * g0x)]
 
-    return _mirror(half, t, _CUBE_FOURTH_PAIRS, np.sinh, 0.5 * w)
+    return _mirror(half, t, _CUBE_FOURTH_PAIRS, lambda x: np.sinh(0.5 * w * x))
 
 
 @_per_omega
