@@ -248,8 +248,9 @@ _MIN_NORMAL_OMEGA = sys.float_info.min
 # (m, omega) records kept per order: a sweep over more omegas evicts the
 # least recently used, so the cache's memory stays bounded
 _CONSTANTS_CACHE_SIZE = 256
-# the same bounded cache for every value that depends on omega alone: the
-# constants, and one record per stable form of its omega-only factors
+# the same bounded cache for every value that depends on omega alone: per
+# order, the constants and one record each of the omega-only factors of
+# the stable curve basis and of the stable corner weights
 _per_omega = functools.lru_cache(maxsize=_CONSTANTS_CACHE_SIZE)
 
 
@@ -556,74 +557,6 @@ def _curve_basis_naive_m2(w: float, t: np.ndarray) -> np.ndarray:
     return _mirror(half, t, _CUBE_FOURTH_PAIRS, lambda x: np.sinh(0.5 * w * x))
 
 
-@_per_omega
-def _omega_end_m1(w: float) -> tuple:
-    """The omega-only factors of ``_stable_end_m1``: 2w and the
-    denominator."""
-    return 2.0 * w, math.fsum([math.exp(-2.0 * w), 2.0 * w * math.exp(-w), -1.0])
-
-
-def _stable_end_m1(w: float, t, e2t, et, ep1):
-    """Last m=1 curve-basis function; only non-positive exponents.  The
-    caller passes e^{-2wt}, e^{-wt} and e^{w(t-1)}."""
-    w2, den = _omega_end_m1(w)
-    return _sum_terms([e2t, w2 * t * et, -1.0]) / den * ep1
-
-
-@_per_omega
-def _omega_mid_m1(w: float) -> tuple:
-    """The omega-only factors of ``_stable_mid_m1``: 1/w, e^{-w}, e^{-2w},
-    e^{-3w}, the whole coefficients of its terms 1, 2, 4, 5, 7 and 8, and
-    the denominator.  Each is the value the term's own left-to-right
-    evaluation gives."""
-    iw = 1.0 / w
-    ew = math.exp(-w)
-    e2w = ew * ew
-    e3w = e2w * ew
-    den = math.fsum([(2.0 * iw + 1.0) * e3w,
-                     -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
-                     -(2.0 * iw + 5.0 - 2.0 * w) * ew,
-                     2.0 * iw - 1.0])
-    return (iw, ew, e2w, e3w, -iw, -(iw + 1.0), 2.0 * iw - 1.0, 2.0 * iw + 1.0,
-            -(iw - 1.0), den)
-
-
-def _stable_mid_m1(w: float, t, et, ep1):
-    """Third m=1 curve-basis function (index 2); non-positive exponents.
-    The caller passes e^{-wt} and e^{w(t-1)}."""
-    iw, ew, e2w, e3w, k1, k2, k4, k5, k7, den = _omega_mid_m1(w)
-    emt1 = et * ew                       # e^{-w(t+1)}
-    emt2 = et * e2w                      # e^{-w(t+2)}
-    ep2 = ep1 * ew                       # e^{w(t-2)}
-    ep3 = ep1 * e2w                      # e^{w(t-3)}
-    num = _sum_terms([
-        (iw + t) * e3w,
-        k1 * ep3,
-        k2 * emt2,
-        -(iw + 3.0 * t - 2.0) * e2w,
-        k4 * ep2,
-        k5 * emt1,
-        -(iw - 3.0 * t + 2.0) * ew,
-        k7 * ep1,
-        k1 * et,
-        iw - t,
-    ])
-    return num / den
-
-
-def _curve_basis_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
-    # each t-dependent exponential once, shared by the forms at t and 1 - t
-    u = 1.0 - t
-    eu, et = _ufunc(np.exp, -w * u), _ufunc(np.exp, -w * t)
-    pu, pt = _ufunc(np.exp, w * (u - 1.0)), _ufunc(np.exp, w * (t - 1.0))
-    return _stack([
-        _stable_end_m1(w, u, _ufunc(np.exp, -2.0 * w * u), eu, pu),
-        _stable_mid_m1(w, u, eu, pu),
-        _stable_mid_m1(w, t, et, pt),
-        _stable_end_m1(w, t, _ufunc(np.exp, -2.0 * w * t), et, pt),
-    ])
-
-
 def _sum_terms(terms) -> np.ndarray:
     """Pairwise-summed total of same-shaped term arrays; a term free of t
     may be a plain float, which adds the same bits as an array of it.
@@ -662,106 +595,65 @@ def _sum_terms(terms) -> np.ndarray:
 
 
 @_per_omega
-def _omega_p5_m2(w: float) -> tuple:
-    """The omega-only factors of ``_stable_p5_m2``: -12w and the
-    denominator."""
-    return -12.0 * w, math.fsum([math.exp(-4.0 * w), -8.0 * math.exp(-3.0 * w),
-                                 -12.0 * w * math.exp(-2.0 * w), 8.0 * math.exp(-w), -1.0])
-
-
-def _stable_p5_m2(w: float, t, et, ep2):
-    """Last m=2 curve-basis function; the caller passes e^{-wt} and
-    e^{2w(t-1)}."""
-    k2, den = _omega_p5_m2(w)
-    et2 = et * et
-    num = _sum_terms([et2 * et2, -8.0 * et2 * et, k2 * t * et2, 8.0 * et, -1.0])
-    return num / den * ep2
-
-
-@_per_omega
-def _omega_p3_m2(w: float) -> tuple:
-    """The omega-only factors of ``_stable_p3_m2``: 1/w, e^{-w} ... e^{-5w},
-    3/w and 9/w (inside t-dependent coefficients), the whole coefficient
-    k_i of term i where it depends on omega alone, and the denominator.
-    Each is the value the term's own left-to-right evaluation gives."""
+def _omega_stable_m1(w: float) -> tuple:
+    """The omega-only factors of ``_stable_m1``: 2w and b_3's denominator;
+    1/w, e^{-w}, e^{-2w}, e^{-3w}, the whole coefficients of b_2's terms
+    1, 2, 4, 5, 7 and 8, and b_2's denominator.  Each is the value the
+    term's own left-to-right evaluation gives."""
     iw = 1.0 / w
     ew = math.exp(-w)
-    e2 = ew * ew
-    e3 = e2 * ew
-    e4 = e2 * e2
-    e5 = e4 * ew
-    den = 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
-                           (27.0 * iw + 31.0 + 6.0 * w) * e4,
-                           -2.0 * (15.0 * iw - 23.0 - 15.0 * w) * e3,
-                           -2.0 * (15.0 * iw + 23.0 - 15.0 * w) * e2,
-                           (27.0 * iw - 31.0 + 6.0 * w) * ew,
-                           3.0 * iw - 1.0])
-    return (iw, ew, e2, e3, e4, e5, 3.0 * iw, 9.0 * iw,
-            -4.0 * iw,                          # k1, and k22
-            -4.0 * (2.0 * iw + 1.0),            # k3
-            -4.0 * (iw + 3.0),                  # k5
-            3.0 * iw + 4.0,                     # k6
-            5.0 * iw + 2.0,                     # k7
-            4.0 * (iw - 1.0),                   # k8
-            4.0 * (3.0 * iw + 1.0),             # k10
-            -(9.0 * iw + 2.0),                  # k11
-            -(9.0 * iw - 2.0),                  # k12
-            4.0 * (3.0 * iw - 1.0),             # k13
-            4.0 * (iw + 1.0),                   # k15
-            5.0 * iw - 2.0,                     # k16
-            3.0 * iw - 4.0,                     # k17
-            -4.0 * (iw - 3.0),                  # k18
-            -4.0 * (2.0 * iw - 1.0),            # k20
-            den)
+    e2w = ew * ew
+    e3w = e2w * ew
+    den3 = math.fsum([math.exp(-2.0 * w), 2.0 * w * ew, -1.0])
+    den2 = math.fsum([(2.0 * iw + 1.0) * e3w,
+                      -(2.0 * iw - 5.0 - 2.0 * w) * e2w,
+                      -(2.0 * iw + 5.0 - 2.0 * w) * ew,
+                      2.0 * iw - 1.0])
+    return (2.0 * w, den3, iw, ew, e2w, e3w, -iw, -(iw + 1.0), 2.0 * iw - 1.0,
+            2.0 * iw + 1.0, -(iw - 1.0), den2)
 
 
-def _stable_p3_m2(w: float, t, et, ep1):
-    """Third m=2 curve-basis function (index 3); the caller passes e^{-wt}
-    and e^{w(t-1)}."""
-    (iw, ew, e2, e3, e4, e5, iw3, iw9, k1, k3, k5, k6, k7, k8, k10, k11, k12,
-     k13, k15, k16, k17, k18, k20, den) = _omega_p3_m2(w)
-    ep2 = ep1 * ew
-    ep3 = ep1 * e2
-    ep4 = ep1 * e3
-    ep5 = ep1 * e4
-    et2 = et * et
-    dp1 = ep1 * ep1                # e^{2w(t-1)}
-    lin = 2.0 * (5.0 * t - 6.0)
+def _stable_m1(w: float, x):
+    """[b_3, b_2] of the m=1 curve basis at x, from non-positive exponents
+    only; at x = 1 - t the same values are [b_0, b_1] of t (mirror
+    symmetry).  The side computes each of its exponentials once:
+    e^{-wx}, e^{w(x-1)} and e^{-2wx}."""
+    w2, den3, iw, ew, e2w, e3w, k1, k2, k4, k5, k7, den2 = _omega_stable_m1(w)
+    ex = _ufunc(np.exp, -w * x)          # e^{-wx}
+    p1 = _ufunc(np.exp, w * (x - 1.0))   # e^{w(x-1)}
+    ex2 = _ufunc(np.exp, -2.0 * w * x)   # e^{-2wx}
+    b3 = _sum_terms([ex2, w2 * x * ex, -1.0]) / den3 * p1
     num = _sum_terms([
-        (iw3 + 2.0 * t) * e5,
-        k1 * ep5,
-        iw * (dp1 * e3),           # e^{w(2t-5)}
-        k3 * (et * e4),            # e^{-w(t+4)}
-        (iw9 - lin) * e4,
-        k5 * ep4,
-        k6 * (dp1 * e2),           # e^{2w(t-2)}
-        k7 * (et2 * e3),           # e^{-w(2t+3)}
-        k8 * (et * e3),            # e^{-w(t+3)}
-        -4.0 * (iw3 - 5.0 * t) * e3,
-        k10 * ep3,
-        k11 * (dp1 * ew),          # e^{w(2t-3)}
-        k12 * (et2 * e2),          # e^{-2w(t+1)}
-        k13 * (et * e2),           # e^{-w(t+2)}
-        -4.0 * (iw3 + 5.0 * t) * e2,
-        k15 * ep2,
-        k16 * dp1,                 # e^{2w(t-1)}
-        k17 * (et2 * ew),          # e^{-w(2t+1)}
-        k18 * (et * ew),           # e^{-w(t+1)}
-        (iw9 + lin) * ew,
-        k20 * ep1,
-        iw * et2,
-        k1 * et,
-        iw3 - 2.0 * t,
+        (iw + x) * e3w,
+        k1 * (p1 * e2w),                 # e^{w(x-3)}
+        k2 * (ex * e2w),                 # e^{-w(x+2)}
+        -(iw + 3.0 * x - 2.0) * e2w,
+        k4 * (p1 * ew),                  # e^{w(x-2)}
+        k5 * (ex * ew),                  # e^{-w(x+1)}
+        -(iw - 3.0 * x + 2.0) * ew,
+        k7 * p1,
+        k1 * ex,
+        iw - x,
     ])
-    return num / den
+    return [b3, num / den2]
+
+
+def _curve_basis_stable_m1(w: float, t: np.ndarray) -> np.ndarray:
+    """The m=1 stable basis: the per-side form at 1 - t, then at t in
+    reverse order.  Each side is its own call, unpaired (see README)."""
+    return _stack(_stable_m1(w, 1.0 - t) + _stable_m1(w, t)[::-1])
 
 
 @_per_omega
-def _omega_p4_m2(w: float) -> tuple:
-    """The omega-only factors of ``_stable_p4_m2``: e^{-w} ... e^{-5w}, the
-    whole coefficient k_i of term i, or the whole term where it is free of
-    t, wherever it depends on omega alone, and the denominator.  Each is
-    the value the term's own left-to-right evaluation gives."""
+def _omega_stable_m2(w: float) -> tuple:
+    """The omega-only factors of ``_stable_m2``: e^{-w} ... e^{-5w}; -12w
+    and b_5's denominator; b_4's c_i, the whole coefficient of its term i,
+    or the whole term where it is free of t, wherever it depends on omega
+    alone, and b_4's denominator; 1/w, 3/w and 9/w (inside t-dependent
+    coefficients of b_3), b_3's a_i, the whole coefficient of its term i
+    where it depends on omega alone, and b_3's denominator.  Each is the
+    value the term's own left-to-right evaluation gives."""
+    iw = 1.0 / w
     ew = math.exp(-w)
     e2 = ew * ew
     e3 = e2 * ew
@@ -769,81 +661,142 @@ def _omega_p4_m2(w: float) -> tuple:
     e5 = e4 * ew
     e6 = e3 * e3
     e7 = e4 * e3
-    den = math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
-                     (79.0 - 156.0 * w - 72.0 * w * w) * e4,
-                     (79.0 + 156.0 * w - 72.0 * w * w) * e3,
-                     -27.0 * (3.0 - 2.0 * w) * e2,
-                     (1.0 - 6.0 * w) * ew, 1.0])
+    den5 = math.fsum([math.exp(-4.0 * w), -8.0 * math.exp(-3.0 * w),
+                      -12.0 * w * math.exp(-2.0 * w), 8.0 * ew, -1.0])
+    den4 = math.fsum([e7, (1.0 + 6.0 * w) * e6, -27.0 * (3.0 + 2.0 * w) * e5,
+                      (79.0 - 156.0 * w - 72.0 * w * w) * e4,
+                      (79.0 + 156.0 * w - 72.0 * w * w) * e3,
+                      -27.0 * (3.0 - 2.0 * w) * e2,
+                      (1.0 - 6.0 * w) * ew, 1.0])
+    den3 = 2.0 * math.fsum([(3.0 * iw + 1.0) * e5,
+                            (27.0 * iw + 31.0 + 6.0 * w) * e4,
+                            -2.0 * (15.0 * iw - 23.0 - 15.0 * w) * e3,
+                            -2.0 * (15.0 * iw + 23.0 - 15.0 * w) * e2,
+                            (27.0 * iw - 31.0 + 6.0 * w) * ew,
+                            3.0 * iw - 1.0])
     return (ew, e2, e3, e4, e5,
-            -6.0 * e5,                          # term 2
-            38.0 * e4,                          # term 7
-            -(1.0 + 6.0 * w),                   # k9
-            24.0 * (1.0 + w),                   # k10
-            -8.0 * (7.0 - 3.0 * w) * e3,        # term 12
-            3.0 * (3.0 - 2.0 * w),              # k13
-            3.0 * (3.0 + 2.0 * w),              # k14
-            -8.0 * (7.0 + 3.0 * w),             # k15
-            24.0 * (1.0 - w) * e2,              # term 17
-            -(1.0 - 6.0 * w),                   # k18
-            -2.0 * ew,                          # term 22
-            den)
+            -12.0 * w, den5,
+            -6.0 * e5,                          # c2
+            38.0 * e4,                          # c7
+            -(1.0 + 6.0 * w),                   # c9
+            24.0 * (1.0 + w),                   # c10
+            -8.0 * (7.0 - 3.0 * w) * e3,        # c12
+            3.0 * (3.0 - 2.0 * w),              # c13
+            3.0 * (3.0 + 2.0 * w),              # c14
+            -8.0 * (7.0 + 3.0 * w),             # c15
+            24.0 * (1.0 - w) * e2,              # c17
+            -(1.0 - 6.0 * w),                   # c18
+            -2.0 * ew,                          # c22
+            den4,
+            iw, 3.0 * iw, 9.0 * iw,
+            -4.0 * iw,                          # a1, and a22
+            -4.0 * (2.0 * iw + 1.0),            # a3
+            -4.0 * (iw + 3.0),                  # a5
+            3.0 * iw + 4.0,                     # a6
+            5.0 * iw + 2.0,                     # a7
+            4.0 * (iw - 1.0),                   # a8
+            4.0 * (3.0 * iw + 1.0),             # a10
+            -(9.0 * iw + 2.0),                  # a11
+            -(9.0 * iw - 2.0),                  # a12
+            4.0 * (3.0 * iw - 1.0),             # a13
+            4.0 * (iw + 1.0),                   # a15
+            5.0 * iw - 2.0,                     # a16
+            3.0 * iw - 4.0,                     # a17
+            -4.0 * (iw - 3.0),                  # a18
+            -4.0 * (2.0 * iw - 1.0),            # a20
+            den3)
 
 
-def _stable_p4_m2(w: float, t, et, ep1):
-    """Fifth m=2 curve-basis function (index 4); the caller passes e^{-wt}
-    and e^{w(t-1)}."""
-    (ew, e2, e3, e4, e5, term2, term7, k9, k10, term12, k13, k14, k15, term17,
-     k18, term22, den) = _omega_p4_m2(w)
-    et2 = et * et
-    et3 = et2 * et
-    wt = w * t
-    lin = w * (5.0 * t - 3.0)
+def _stable_m2(w: float, x):
+    """[b_5, b_4, b_3] of the m=2 curve basis at x, from non-positive
+    exponents only; at x = 1 - t the same values are [b_0, b_1, b_2] of t
+    (mirror symmetry).  The side computes each of its exponentials once:
+    e^{-wx}, e^{w(x-1)} and e^{2w(x-1)}, and e^{-2wx} as e^{-wx} squared."""
+    (ew, e2, e3, e4, e5, mw12, den5,
+     c2, c7, c9, c10, c12, c13, c14, c15, c17, c18, c22, den4,
+     iw, iw3, iw9, a1, a3, a5, a6, a7, a8, a10, a11, a12, a13, a15, a16, a17,
+     a18, a20, den3) = _omega_stable_m2(w)
+    ex = _ufunc(np.exp, -w * x)                  # e^{-wx}
+    p1 = _ufunc(np.exp, w * (x - 1.0))           # e^{w(x-1)}
+    d1 = _ufunc(np.exp, 2.0 * w * (x - 1.0))     # e^{2w(x-1)}
+    ex2 = ex * ex                                # e^{-2wx}
+    num = _sum_terms([ex2 * ex2, -8.0 * ex2 * ex, mw12 * x * ex2, 8.0 * ex, -1.0])
+    b5 = num / den5 * d1
+
+    ex3 = ex2 * ex
+    p2 = p1 * ew                       # e^{w(x-2)}
+    p3 = p1 * e2                       # e^{w(x-3)}
+    p4 = p1 * e3                       # e^{w(x-4)}
+    p5 = p1 * e4                       # e^{w(x-5)}
+    wx = w * x
+    lin4 = w * (5.0 * x - 3.0)
     num = _sum_terms([
-        2.0 * (et2 * e5),                       # e^{-w(2t+5)}
-        3.0 * (1.0 + 2.0 * wt) * (et * e5),     # e^{-w(t+5)}
-        term2,
-        ep1 * e4,                               # e^{w(t-5)}
-        -2.0 * (et3 * e4),                      # e^{-w(3t+4)}
-        -2.0 * (et2 * e4),                      # e^{-2w(t+2)}
-        -3.0 * (9.0 + 10.0 * wt) * (et * e4),   # e^{-w(t+4)}
-        term7,
-        -7.0 * (ep1 * e3),                      # e^{w(t-4)}
-        k9 * (et3 * e3),                        # e^{-3w(t+1)}
-        k10 * (et2 * e3),                       # e^{-w(2t+3)}
-        12.0 * (2.0 + lin) * (et * e3),
-        term12,
-        k13 * (ep1 * e2),                       # e^{w(t-3)}
-        k14 * (et3 * e2),                       # e^{-w(3t+2)}
-        k15 * (et2 * e2),                       # e^{-2w(t+1)}
-        12.0 * (2.0 - lin) * (et * e2),
-        term17,
-        k18 * (ep1 * ew),                       # e^{w(t-2)}
-        -7.0 * (et3 * ew),                      # e^{-w(3t+1)}
-        38.0 * (et2 * ew),                      # e^{-w(2t+1)}
-        -3.0 * (9.0 - 10.0 * wt) * (et * ew),   # e^{-w(t+1)}
-        term22,
-        -2.0 * ep1,
-        et3,
-        -6.0 * et2,
-        3.0 * (1.0 - 2.0 * wt) * et,
+        2.0 * (ex2 * e5),                       # e^{-w(2x+5)}
+        3.0 * (1.0 + 2.0 * wx) * (ex * e5),     # e^{-w(x+5)}
+        c2,
+        p5,
+        -2.0 * (ex3 * e4),                      # e^{-w(3x+4)}
+        -2.0 * (ex2 * e4),                      # e^{-2w(x+2)}
+        -3.0 * (9.0 + 10.0 * wx) * (ex * e4),   # e^{-w(x+4)}
+        c7,
+        -7.0 * p4,
+        c9 * (ex3 * e3),                        # e^{-3w(x+1)}
+        c10 * (ex2 * e3),                       # e^{-w(2x+3)}
+        12.0 * (2.0 + lin4) * (ex * e3),
+        c12,
+        c13 * p3,
+        c14 * (ex3 * e2),                       # e^{-w(3x+2)}
+        c15 * (ex2 * e2),                       # e^{-2w(x+1)}
+        12.0 * (2.0 - lin4) * (ex * e2),
+        c17,
+        c18 * p2,
+        -7.0 * (ex3 * ew),                      # e^{-w(3x+1)}
+        38.0 * (ex2 * ew),                      # e^{-w(2x+1)}
+        -3.0 * (9.0 - 10.0 * wx) * (ex * ew),   # e^{-w(x+1)}
+        c22,
+        -2.0 * p1,
+        ex3,
+        -6.0 * ex2,
+        3.0 * (1.0 - 2.0 * wx) * ex,
         2.0,
     ])
-    return num / den * ep1
+    b4 = num / den4 * p1
+
+    pp = p1 * p1                       # e^{2w(x-1)}, with other bits than d1
+    lin3 = 2.0 * (5.0 * x - 6.0)
+    num = _sum_terms([
+        (iw3 + 2.0 * x) * e5,
+        a1 * p5,
+        iw * (pp * e3),            # e^{w(2x-5)}
+        a3 * (ex * e4),            # e^{-w(x+4)}
+        (iw9 - lin3) * e4,
+        a5 * p4,
+        a6 * (pp * e2),            # e^{2w(x-2)}
+        a7 * (ex2 * e3),           # e^{-w(2x+3)}
+        a8 * (ex * e3),            # e^{-w(x+3)}
+        -4.0 * (iw3 - 5.0 * x) * e3,
+        a10 * p3,
+        a11 * (pp * ew),           # e^{w(2x-3)}
+        a12 * (ex2 * e2),          # e^{-2w(x+1)}
+        a13 * (ex * e2),           # e^{-w(x+2)}
+        -4.0 * (iw3 + 5.0 * x) * e2,
+        a15 * p2,
+        a16 * pp,
+        a17 * (ex2 * ew),          # e^{-w(2x+1)}
+        a18 * (ex * ew),           # e^{-w(x+1)}
+        (iw9 + lin3) * ew,
+        a20 * p1,
+        iw * ex2,
+        a1 * ex,
+        iw3 - 2.0 * x,
+    ])
+    return [b5, b4, num / den3]
 
 
 def _curve_basis_stable_m2(w: float, t: np.ndarray) -> np.ndarray:
-    # each t-dependent exponential once, shared by the forms at t and 1 - t
-    u = 1.0 - t
-    eu, et = _ufunc(np.exp, -w * u), _ufunc(np.exp, -w * t)
-    pu, pt = _ufunc(np.exp, w * (u - 1.0)), _ufunc(np.exp, w * (t - 1.0))
-    return _stack([
-        _stable_p5_m2(w, u, eu, _ufunc(np.exp, 2.0 * w * (u - 1.0))),
-        _stable_p4_m2(w, u, eu, pu),
-        _stable_p3_m2(w, u, eu, pu),
-        _stable_p3_m2(w, t, et, pt),
-        _stable_p4_m2(w, t, et, pt),
-        _stable_p5_m2(w, t, et, _ufunc(np.exp, 2.0 * w * (t - 1.0))),
-    ])
+    """The m=2 stable basis: the per-side form at 1 - t, then at t in
+    reverse order.  Each side is its own call, unpaired (see README)."""
+    return _stack(_stable_m2(w, 1.0 - t) + _stable_m2(w, t)[::-1])
 
 
 def _taylor_m1(w: float, t: np.ndarray) -> np.ndarray:

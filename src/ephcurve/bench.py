@@ -176,12 +176,13 @@ def find_omega_bar(config: RhoConfig, method: EvalMethod) -> BreakpointResult:
                             rho_at_min=float(series[k, 1]))
 
 
+# The algorithms ``time_methods`` times, in the order of its rows.
+_TIMED_METHODS = (EvalMethod.DECASTELJAU, EvalMethod.WOZNY_CHUDY, EvalMethod.NEW)
+
+
 def time_methods(d: int, m: int, omega_list, n_curves: int = 1000,
                  grid_points: int = 501, repetitions: int = 5,
-                 seed: int = 0,
-                 methods: tuple = (EvalMethod.DECASTELJAU,
-                                   EvalMethod.WOZNY_CHUDY,
-                                   EvalMethod.NEW)) -> list:
+                 seed: int = 0) -> list:
     """Median wall time per (method, omega) for whole-grid evaluations.
 
     Strictly serial; every curve evaluation rebuilds its auxiliary
@@ -198,17 +199,13 @@ def time_methods(d: int, m: int, omega_list, n_curves: int = 1000,
     if n_curves < 1 or grid_points < 2 or repetitions < 1:
         raise ValueError("need at least one curve, two grid points and one repetition")
     _check_omega_list(np.asarray(omega_list, dtype=float))
-    rng = np.random.default_rng(seed)
+    polygons = np.random.default_rng(seed).uniform(0.0, 1.0, (n_curves, 2 * m + 2, d))
     ts = np.linspace(0.0, 1.0, grid_points)
-    n = 2 * m + 2
-    curves = [EphCurve(m=m, omega=1.0, dim=d,
-                       control_points=rng.uniform(0.0, 1.0, size=(n, d)))
-              for _ in range(n_curves)]
     rows = []
-    for method in methods:
+    for method in _TIMED_METHODS:
         for w in omega_list:
-            batch = [EphCurve(m=m, omega=float(w), dim=d,
-                              control_points=c.control_points) for c in curves]
+            batch = [EphCurve(m=m, omega=float(w), dim=d, control_points=cp)
+                     for cp in polygons]
             times = []
             for _ in range(repetitions):
                 t0 = time.perf_counter()

@@ -52,6 +52,13 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8")
 
 
+def _grid(n: int) -> np.ndarray:
+    """``n`` equispaced samples of [0, 1]; fewer than two miss an end."""
+    if n < 2:
+        raise ValueError("--grid must be at least 2, got %d" % n)
+    return np.linspace(0.0, 1.0, n)
+
+
 def _write_csv(out, header_rows, columns, rows):
     for line in header_rows:
         out.write("# %s\n" % line)
@@ -76,7 +83,7 @@ def cmd_eval(args) -> int:
     curve = _load_curve(args.curve)
     method = EvalMethod(args.method)
     mode = EvalMode(args.mode)
-    ts = np.linspace(0.0, 1.0, args.grid)
+    ts = _grid(args.grid)
     pts = evaluate(curve, ts, method, mode)
     cols = ["t"] + ["x", "y", "z"][:curve.dim]
     quantity = "tau" if method is EvalMethod.NEW else "basis"
@@ -162,7 +169,7 @@ def cmd_hermite(args) -> int:
 
 def cmd_basis(args) -> int:
     mode = EvalMode(args.mode)
-    ts = np.linspace(0.0, 1.0, args.grid)
+    ts = _grid(args.grid)
     vals = curve_basis(args.m, args.omega, ts, mode)
     cols = ["t"] + ["phi%d" % i for i in range(vals.shape[-1])]
     header = ["ephcurve basis m=%d omega=%.17g mode=%s grid=%d"

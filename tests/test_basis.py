@@ -202,6 +202,26 @@ def test_curve_basis_stable_large_omega_finite_partition():
         assert np.max(np.abs(b.sum(axis=-1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("form", [basis._stable_m1, basis._stable_m2])
+def test_stable_forms_are_pair_ready(form):
+    # each stable per-side form is elementwise in its side x, so one call
+    # on np.stack([1 - t, t]) gives, bit for bit, its values on 1 - t and
+    # on t alone: the grid path could pair the two sides in one call
+    ts = np.concatenate([[0.0, 1.0, 5e-324, 1e-300], np.linspace(0.0, 1.0, 501)])
+    sides = (1.0 - ts, ts)
+    for w in np.geomspace(1e-4, 1e5, 8):
+        w = float(w)
+        # at w = 1.9e-3 the m=1 denominator of b_2 rounds to 0; the
+        # inf and NaN it gives must pair bitwise as well
+        with np.errstate(divide="ignore", invalid="ignore"):
+            paired = form(w, np.stack(sides))
+            alone_by_side = [form(w, x) for x in sides]
+        for row, alone in enumerate(alone_by_side):
+            assert len(paired) == len(alone)
+            for k, (got, ref) in enumerate(zip(paired, alone)):
+                assert got[row].tobytes() == ref.tobytes(), (w, row, k)
+
+
 def test_curve_basis_naive_overflow_guard():
     with pytest.raises(OverflowHazardError):
         basis.curve_basis(1, 701.0, 0.5, EvalMode.NAIVE)

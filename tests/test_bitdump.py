@@ -39,3 +39,29 @@ def test_dump_counts_and_repeats_its_outcomes(monkeypatch):
     assert runs[0] == runs[1]
     assert all(line.count("\t") == 1 for line in runs[0])
     assert any("raise DomainError" in line for line in runs[0])    # t = NaN
+
+
+def test_compare_counts_result_and_warning_differences(tmp_path, capsys):
+    # a result differs by the text before the first " | warn "; a line
+    # that differs only after it differs in its warnings only
+    bitdump = load_bitdump()
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("a\tX\nb\tY | warn W: one\nc\tZ\nd\traise E: e | warn W: two\n")
+    new.write_text("a\tX\nb\tY\nc\tQ\nd\traise E: e | warn W: three\n")
+    assert bitdump.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "4 outcomes compared", "1 results differ", "  c",
+        "2 differ in warnings only", "  b", "  d"]
+    new.write_text("a\tX\nb\tY | warn W: one\nc\tZ\nd\traise E: e\n")
+    assert bitdump.main(["--compare", str(old), str(new)]) == 0
+    assert "0 results differ" in capsys.readouterr().out
+
+
+def test_compare_fails_on_different_labels(tmp_path, capsys):
+    bitdump = load_bitdump()
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("a\tX\nb\tY\n")
+    for text in ("a\tX\nc\tY\n", "a\tX\n"):
+        new.write_text(text)
+        assert bitdump.main(["--compare", str(old), str(new)]) == 1
+        assert capsys.readouterr().out.startswith("labels differ at line 2: 'b' vs ")

@@ -246,6 +246,21 @@ def test_bench_rho_one_grid_point_exit_2(tmp_path):
                     "--out", str(tmp_path / "rho.csv")]) == 2
 
 
+@pytest.mark.parametrize("grid", ["0", "1", "-1"])
+@pytest.mark.parametrize("command", ["eval", "basis"])
+def test_grid_below_two_exit_2(tmp_path, capsys, curve_file, command, grid):
+    # a grid of 0 wrote a header-only CSV and one of 1 sampled t = 0
+    # alone, both with exit 0, and -1 failed inside numpy; each is now
+    # refused with the CLI's message before any output is written
+    out = tmp_path / "out.csv"
+    args = (["eval", "--curve", curve_file] if command == "eval"
+            else ["basis", "--m", "1", "--omega", "1.0"])
+    assert run_cli(args + ["--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid value: --grid must be at least 2, got %s" % grid in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", [["--repetitions", "0"], ["--curves", "0"],
                                   ["--grid", "1"]])
 def test_bench_timing_empty_measurement_exit_2(tmp_path, capsys, size):

@@ -5,7 +5,12 @@ the same inputs and diffing the dumps line by line:
 
     python3 tools/bitdump.py --src OLD_TREE/src > old.txt
     python3 tools/bitdump.py --src NEW_TREE/src > new.txt
-    diff old.txt new.txt
+    python3 tools/bitdump.py --compare old.txt new.txt
+
+``--compare`` checks that both dumps list the same calls in the same
+order, then counts the outcomes whose result differs (the text before the
+first `` | warn ``) and those that differ in their warnings only.  It exits
+1 if the labels or any result differ, else 0.
 
 Each line names one call and hashes its outcome: a result by its type,
 dtype, shape, C- and F-contiguity, writeability and bytes (NaN signs and
@@ -142,11 +147,40 @@ def dump(out) -> int:
     return n
 
 
+def compare(old: Path, new: Path, out) -> int:
+    """Compare two dumps line by line; 1 if labels or results differ."""
+    a = old.read_text().splitlines()
+    b = new.read_text().splitlines()
+    for k in range(max(len(a), len(b))):
+        la = a[k].partition("\t")[0] if k < len(a) else "<end of %s>" % old
+        lb = b[k].partition("\t")[0] if k < len(b) else "<end of %s>" % new
+        if la != lb:
+            out.write("labels differ at line %d: %r vs %r\n" % (k + 1, la, lb))
+            return 1
+    results, warns = [], []
+    for x, y in zip(a, b):
+        if x != y:
+            label, _, ox = x.partition("\t")
+            oy = y.partition("\t")[2]
+            same = ox.partition(" | warn ")[0] == oy.partition(" | warn ")[0]
+            (warns if same else results).append(label)
+    out.write("%d outcomes compared\n" % len(a))
+    for labels, what in ((results, "results differ"), (warns, "differ in warnings only")):
+        out.write("%d %s\n" % (len(labels), what))
+        for label in labels[:5]:
+            out.write("  %s\n" % label)
+    return 1 if results else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the ephcurve package (default: this tree's src)")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of writing one")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, sys.stdout)
     sys.path.insert(0, str(args.src))
     n = dump(sys.stdout)
     print("%d outcomes" % n, file=sys.stderr)
