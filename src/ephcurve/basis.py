@@ -1013,6 +1013,13 @@ def corner_weights(m: int, omega: float, t, mode: EvalMode = EvalMode.AUTO) -> n
     like 1e-16 / t (tau_1 = -1.05e33 at omega = 4, t = 1e-50, where the
     true value is about 1), and ``eval_new`` is O(1) wrong there.  No
     series fallback is applied.
+
+    The m=1 weights lie in [0, 1], to rounding, at every omega tried
+    from 1e-4 to 650.  The m=2 weights leave [0, 1] between omega = 6
+    and 7: on t in [1e-3, 1 - 1e-3] the smallest is -0.083 at omega = 7,
+    -0.389 at 10, -4.47 at 50 and -65.5 at 650, about -omega/10 (the
+    largest is 1 minus it).  So the m=2 first stage of ``eval_new``
+    extrapolates there rather than cutting corners.
     """
     _check_m(m)
     omega = _check_omega(omega)

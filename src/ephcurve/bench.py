@@ -46,6 +46,14 @@ def default_omega_grid(n: int = 500, upper: float = 2.0) -> np.ndarray:
     return upper * np.arange(1, n + 1) / n
 
 
+def _check_integers(**sizes) -> None:
+    """ValueError for a size that is not an integer, before numpy's
+    TypeError would name a float it cannot interpret."""
+    for name, size in sizes.items():
+        if not isinstance(size, numbers.Integral):
+            raise ValueError("%s must be an integer, got %r" % (name, size))
+
+
 @dataclass(frozen=True)
 class RhoConfig:
     """Configuration of the stability sweep."""
@@ -58,11 +66,8 @@ class RhoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = {"d": self.d, "m": self.m, "n_curves": self.n_curves,
-                 "grid_points": self.grid_points}
-        for name, size in sizes.items():
-            if not isinstance(size, numbers.Integral):
-                raise ValueError("%s must be an integer, got %r" % (name, size))
+        _check_integers(d=self.d, m=self.m, n_curves=self.n_curves,
+                        grid_points=self.grid_points)
         if self.d not in (2, 3):
             raise ValueError("d must be 2 or 3")
         basis._check_m(self.m)
@@ -196,6 +201,7 @@ def time_methods(d: int, m: int, omega_list, n_curves: int = 1000,
     timings measure cost, not correct output.  Absolute numbers are
     machine-bound; only the ordering between methods is meaningful.
     """
+    _check_integers(n_curves=n_curves, grid_points=grid_points, repetitions=repetitions)
     if n_curves < 1 or grid_points < 2 or repetitions < 1:
         raise ValueError("need at least one curve, two grid points and one repetition")
     _check_omega_list(np.asarray(omega_list, dtype=float))

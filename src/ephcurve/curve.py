@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,6 @@ __all__ = [
     "arc_length",
     "is_regular",
 ]
-
-REGULARITY_GRID = 2001
-REGULARITY_RTOL = 1e-12
-
 
 def _validate(record, stacked: bool) -> None:
     """Checks shared by ``EphCurve`` and ``CurveBatch``; freezes the points.
@@ -127,8 +124,8 @@ class Preimage:
     """Quaternion coefficients of the preimage over the preimage basis.
 
     The curve built from it is regular iff the four coefficient
-    functions have no common root; see :func:`is_regular` for the
-    numerical proxy.  An all-zero preimage is accepted (it yields the
+    functions have no common root on [0, 1], which :func:`is_regular`
+    tests exactly.  An all-zero preimage is accepted (it yields the
     degenerate point curve with zero speed and length); non-finite
     coefficients raise ``ValueError``.
 
@@ -290,17 +287,69 @@ def arc_length(preimage: Preimage, t, mode: EvalMode = EvalMode.AUTO) -> np.ndar
     return basis.curve_basis(preimage.m, preimage.omega, t, mode) @ s
 
 
-def is_regular(preimage: Preimage) -> bool:
-    """Numerical proxy for regularity (speed bounded away from zero).
+def _vanishes(c0, c1, c2) -> bool:
+    """Whether the quaternion polynomial c0 + x c1 + x^2 c2, each
+    coefficient given by its four components, has a root on [0, 1]: a
+    point where all four components vanish at once.
 
-    Samples the parametric speed on a fixed uniform grid and requires
-    the minimum to exceed a relative floor; this approximates the exact
-    no-common-root condition on the preimage coefficient functions and
-    can misclassify speeds vanishing only between grid nodes.
+    The candidates are x = 0 and every component's two roots from the
+    stable quadratic formula, taken on coefficients scaled to at most 1
+    so that nothing overflows.  A negative discriminant is taken as 0, so
+    a double root that rounding turned complex still yields its real
+    part; candidates are clamped into [0, 1].  A candidate is a root when
+    every component has |c0 + x c1 + x^2 c2| <= 64 eps (|c0| + x |c1| +
+    x^2 |c2|), the rounding of its own terms.
     """
-    ts = np.linspace(0.0, 1.0, REGULARITY_GRID)
-    sigma = parametric_speed(preimage, ts)
-    top = float(np.max(sigma))
-    if top <= 0.0:
-        return False
-    return float(np.min(sigma)) > REGULARITY_RTOL * top
+    xs = [0.0]
+    for a, b, c in zip(c0, c1, c2):
+        s = max(abs(a), abs(b), abs(c))
+        if s == 0.0:
+            continue                    # this component vanishes everywhere
+        a, b, c = a / s, b / s, c / s
+        q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+        if c != 0.0:
+            xs.append(q / c)
+        if q != 0.0:
+            xs.append(a / q)
+    tol = 64.0 * sys.float_info.epsilon
+    for x in xs:
+        x = min(max(x, 0.0), 1.0)
+        if all(abs(a + x * (b + x * c)) <= tol * (abs(a) + x * (abs(b) + x * abs(c)))
+               for a, b, c in zip(c0, c1, c2)):
+            return True
+    return False
+
+
+def is_regular(preimage: Preimage) -> bool:
+    """Whether the curve's speed has no zero on [0, 1]: the exact test
+    that the four coefficient functions of A(t) have no common root.
+
+    With p0, p1 the m=1 preimage basis and x = p1/p0, which runs over
+    [0, inf] as t runs over [0, 1], A = p0^m Q(x) with
+
+        m=1:  Q = a0 + x a1,
+        m=2:  Q = a0 + (2/c1) x a1 + x^2 a2,
+
+    because the m=2 preimage basis is (p0^2, (2/c1) p0 p1, p1^2), the
+    identity behind ``_hodograph_coeffs``.  p0 > 0 on [0, 1), so A
+    vanishes somewhere iff Q has a root on [0, 1] or its mirror (the
+    coefficients reversed, x -> 1/x) has one; the m=2 halves are
+    multiplied by c1/2 so that no term grows with omega.  The m=1 verdict
+    does not depend on omega: a0 and a1 must be nonzero and not
+    antiparallel.  A root counts up to the rounding of Q's own terms,
+    64 eps of their magnitudes (see ``_vanishes``).
+
+    The m=2 verdict is exact to that bound while c1 = 1/cosh(omega/2) is
+    a normal double, omega below about 1416.  Above, c1 loses digits, and
+    from omega ~ 1490, where it underflows to 0, every m=2 preimage reads
+    as singular.
+    """
+    a = [[float(v) for v in q.components()] for q in preimage.coeffs]
+    if preimage.m == 1:
+        zero = (0.0,) * 4
+        halves = ((a[0], a[1], zero), (a[1], a[0], zero))
+    else:
+        h = 0.5 * basis.constants(1, preimage.omega).c1
+        a0, a2 = [h * v for v in a[0]], [h * v for v in a[2]]
+        halves = ((a0, a[1], a2), (a2, a[1], a0))
+    return not any(_vanishes(*half) for half in halves)

@@ -401,6 +401,21 @@ def test_corner_weights_stable_against_oracle(m, w):
     assert rel_inf(got, ref) < tol
 
 
+def test_corner_weights_range_as_documented():
+    # the range the corner_weights and eval_new docstrings and the README
+    # state: m=1 inside [0, 1] to rounding at every omega, m=2 leaving it
+    # between omega = 6 and 7, so its first stage extrapolates
+    ts = np.linspace(1e-3, 1.0 - 1e-3, 999)
+    eps = np.finfo(float).eps
+    for w in np.geomspace(1e-4, 650.0, 40):
+        tau = basis.corner_weights(1, w, ts)
+        assert -2 * eps <= tau.min() and tau.max() <= 1.0 + 2 * eps, w
+    tau = basis.corner_weights(2, 6.0, ts)
+    assert 0.0 <= tau.min() and tau.max() <= 1.0
+    assert basis.corner_weights(2, 7.0, ts).min() < 0.0
+    assert basis.corner_weights(2, 10.0, ts).min() == pytest.approx(-0.389, abs=1e-3)
+
+
 def test_corner_weights_stable_finite_near_edges():
     got = basis.corner_weights(2, 150.0, np.array([0.9]),
                                EvalMode.STABLE_LARGE_OMEGA)

@@ -172,6 +172,15 @@ def test_timing_rejects_empty_measurements(size):
         time_methods(3, 1, [0.5], **size)
 
 
+@pytest.mark.parametrize("size", [{"n_curves": 2.5}, {"grid_points": 5.0},
+                                  {"repetitions": 1.5}])
+def test_timing_rejects_non_integer_sizes(size):
+    # numpy's TypeError ("'float' object cannot be interpreted as an
+    # integer") leaked instead
+    with pytest.raises(ValueError, match="must be an integer"):
+        time_methods(3, 1, [0.5], **size)
+
+
 def test_timing_rejects_an_empty_omega_list():
     # it returned no rows, and the CLI wrote a header-only table
     with pytest.raises(ValueError):

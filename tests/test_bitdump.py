@@ -33,9 +33,10 @@ def test_dump_counts_and_repeats_its_outcomes(monkeypatch):
     t_inputs = len(bitdump.TS) * len(bitdump.FORMS) + len(bitdump.GRIDS)
     polygons = len(bitdump.polygons(np.random.default_rng(0), 1))
     per_mode = 3 + polygons * len(EvalMethod)   # basis, weights, arc length, evaluators
-    per_t = 4 + len(EvalMode) * per_mode
+    per_t = 6 + len(EvalMode) * per_mode        # three bases, speed, hodograph, derivative
+    per_omega = 3 + t_inputs * per_t             # constants, is_regular, curve_from_preimage
     rho_lines = 2 * 2 * len(EvalMethod)
-    assert n == 2 * len(bitdump.OMEGAS) * (1 + t_inputs * per_t) + rho_lines
+    assert n == 2 * len(bitdump.OMEGAS) * per_omega + rho_lines
     assert runs[0] == runs[1]
     assert all(line.count("\t") == 1 for line in runs[0])
     assert any("raise DomainError" in line for line in runs[0])    # t = NaN

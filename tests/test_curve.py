@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from mpmath import mpf, workdps
 from scipy.integrate import quad
 
 from conftest import rel_inf
-from oracles import constants_ref
+from oracles import constants_ref, psi_ref
 from ephcurve import basis
 from ephcurve.curve import (CurveBatch, EphCurve, Preimage, _hodograph_coeffs,
                             _integral_weights, arc_length, arc_length_coeffs,
@@ -469,6 +471,66 @@ def test_is_regular_cases():
     sigma = parametric_speed(pre, ts)
     assert np.min(sigma) < 1e-6 * np.max(sigma)
     assert not is_regular(pre)
+
+
+REGULARITY_OMEGAS = (1e-4, 0.5, 3.0, 8.0, 40.0, 100.0, 400.0, 700.0)
+# the ends, the middle, and a point strictly between the nodes of a
+# 2001-point grid, where a sampled speed misses the zero
+ROOTS = (1e-3, 0.123456789, 0.5, 0.77, 0.999)
+
+
+def singular_preimage(rng, m, omega, t):
+    """A random preimage with A(t) = 0: the coefficients are solved from
+    the oracle's preimage basis at t in 50 digits, then rounded once."""
+    psi = psi_ref(m, omega, t)
+    with workdps(50):
+        if m == 1:
+            q = [mpf(v) for v in rng.uniform(-2, 2, 4)]
+            top = max(psi)
+            coeffs = ([v * psi[1] / top for v in q], [-v * psi[0] / top for v in q])
+        else:
+            a0, a2 = rng.uniform(-2, 2, (2, 4))
+            a1 = [-(psi[0] * mpf(u) + psi[2] * mpf(v)) / psi[1] for u, v in zip(a0, a2)]
+            coeffs = (a0, a1, a2)
+        return Preimage(m=m, omega=omega,
+                        coeffs=tuple(tuple(float(v) for v in c) for c in coeffs))
+
+
+@pytest.mark.parametrize("omega", (60.0, 200.0, 650.0))
+def test_is_regular_m1_does_not_depend_on_omega(rng, omega):
+    # the m=1 speed falls like exp(-omega/2) mid-curve against its ends,
+    # yet A = a0 p0 + a1 p1 vanishes only where a0, a1 are antiparallel
+    assert is_regular(Preimage(m=1, omega=omega, coeffs=(I, I)))
+    for _ in range(20):
+        assert is_regular(random_preimage(rng, 1, omega))
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_is_regular_finds_every_common_root(rng, m):
+    for omega, t in itertools.product(REGULARITY_OMEGAS, ROOTS):
+        assert not is_regular(singular_preimage(rng, m, omega, t)), (omega, t)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_is_regular_zero_end_coefficient(rng, m):
+    # A(0) = a0 and A(1) = a_m
+    for omega in REGULARITY_OMEGAS:
+        cs = random_preimage(rng, m, omega).coeffs
+        for end in (0, m):
+            zeroed = cs[:end] + (Quaternion(),) + cs[end + 1:]
+            assert not is_regular(Preimage(m=m, omega=omega, coeffs=zeroed))
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_is_regular_random_preimages(rng, m):
+    # up to omega = 1416, where c1 = 1/cosh(omega/2) turns subnormal and
+    # a component's far root overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in REGULARITY_OMEGAS + (1416.0,):
+            for _ in range(20):
+                assert is_regular(random_preimage(rng, m, omega)), omega
+
 
 
 # ---------------------------------------------------------------------------

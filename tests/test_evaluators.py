@@ -445,3 +445,9 @@ def test_dynamic_eval_argument_checks(rng):
     curve1 = _regular_m1_curve(rng, 1.0)
     with pytest.raises(ValueError):
         dynamic_eval_m1(curve1, 1)
+
+
+def test_dynamic_eval_rejects_a_non_integer_k(rng):
+    curve = _regular_m1_curve(rng, 1.0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        dynamic_eval_m1(curve, 5.0)

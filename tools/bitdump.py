@@ -26,8 +26,10 @@ Python float, an np.float64, a 0-d array and a (1,) array, plus grids
 constants, the preimage, hodograph, series and curve bases and the corner
 weights in every mode; the four evaluators in every mode on random
 polygons of dims 2 and 3, on a polygon with a zero leg and -0.0
-coordinates, and on a 3-curve batch; speed and arc length; and the rho
-metric of ``bench`` for every method.
+coordinates, and on a 3-curve batch; speed and arc length; the PH
+construction (``is_regular`` and ``curve_from_preimage`` per omega,
+``hodograph`` and ``derivative`` at every t); and the rho metric of
+``bench`` for every method.
 """
 
 from __future__ import annotations
@@ -122,13 +124,19 @@ def dump(out) -> int:
         key = "m=%d w=%r" % (m, w)
         line("constants %s" % key, lambda: basis.constants(m, w))
         pre = curve.Preimage(m=m, omega=w, coeffs=coeffs[:m + 1])
+        line("is_regular %s" % key, lambda: curve.is_regular(pre))
+        line("curve_from_preimage %s" % key,
+             lambda: curve.curve_from_preimage(pre, (0.25, -0.5, 1.0)).control_points)
         cases = polygons(rng, m)
+        rand3 = ephcurve.EphCurve(m=m, omega=w, dim=3, control_points=cases[1][1])
         for tl, t in t_inputs():
             at = "%s %s" % (key, tl)
             line("preimage_basis %s" % at, lambda: basis.preimage_basis(m, w, t))
             line("hodograph_basis %s" % at, lambda: basis.hodograph_basis(m, w, t))
             line("taylor_curve_basis %s" % at, lambda: basis.taylor_curve_basis(m, w, t))
             line("parametric_speed %s" % at, lambda: curve.parametric_speed(pre, t))
+            line("hodograph %s" % at, lambda: curve.hodograph(pre, t))
+            line("derivative %s" % at, lambda: curve.derivative(rand3, t))
             for mode in EvalMode:
                 am = "%s %s" % (at, mode.name)
                 line("curve_basis %s" % am, lambda: basis.curve_basis(m, w, t, mode))
