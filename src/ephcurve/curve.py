@@ -344,6 +344,7 @@ def is_regular(preimage: Preimage) -> bool:
     from omega ~ 1490, where it underflows to 0, every m=2 preimage reads
     as singular.
     """
+    # as Python floats: numpy scalars would warn where a far root overflows
     a = [[float(v) for v in q.components()] for q in preimage.coeffs]
     if preimage.m == 1:
         zero = (0.0,) * 4
